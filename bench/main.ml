@@ -27,6 +27,20 @@ let measure = Sorl_machine.Measure.model machine
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
+(* The exact reply bytes of [rank <inst> <top>]: the first [top] of the
+   in-process full rank of the instance's predefined set. *)
+let rank_reply tuner inst ~top =
+  let n = Tuning.predefined_size ~dims:(Kernel.dims (Instance.kernel inst)) in
+  let ranked = Sorl.Autotuner.top_k tuner inst ~k:n in
+  Sorl_serve.Protocol.encode_response
+    (Sorl_serve.Protocol.Ranked
+       {
+         benchmark = Instance.name inst;
+         total = n;
+         tunings = Array.to_list (Array.sub ranked 0 (min top n));
+         approx = false;
+       })
+
 (* BENCH_parallel.json holds one top-level key per section; experiments
    contribute sections independently (perf: domain_count/host_cores/
    stages/telemetry, rank-throughput: rank_throughput) and the file is
@@ -375,8 +389,7 @@ let top1_ratio tuner =
     List.map
       (fun inst ->
         let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
-        let best = Sorl.Autotuner.best tuner inst set in
-        let rt = Sorl_machine.Measure.runtime measure inst best in
+        let rt = Sorl_machine.Measure.runtime measure inst (Sorl.Autotuner.tune tuner inst) in
         let oracle =
           Array.fold_left
             (fun acc t -> Float.min acc (Sorl_machine.Measure.runtime measure inst t))
@@ -764,7 +777,7 @@ let extensions () =
           infinity set
       in
       let ratio tuner =
-        Sorl_machine.Measure.runtime laptop_measure inst (Sorl.Autotuner.best tuner inst set)
+        Sorl_machine.Measure.runtime laptop_measure inst (Sorl.Autotuner.tune tuner inst)
         /. oracle
       in
       Table.add_row t
@@ -897,7 +910,7 @@ let perf () =
   if domains = 1 then
     print_endline
       "note: pool size 1 — the \"parallel\" column degenerates to serial;\n\
-       set Sorl_POOL_DOMAINS to force a larger pool.";
+       set SORL_POOL_DOMAINS to force a larger pool.";
   let spec = { Sorl.Training.size = 16000; mode = Features.Extended; seed = 5 } in
   let generate_at d =
     Sorl_util.Pool.with_domains d (fun () ->
@@ -910,12 +923,12 @@ let perf () =
   let gen_ok = datasets_identical ds_serial ds_par in
   let tuner = Sorl.Autotuner.train_on ~mode:Features.Extended ds_serial in
   let inst = Benchmarks.instance_by_name "gradient-256x256x256" in
-  let set = Tuning.predefined_set ~dims:3 in
+  let n = Tuning.predefined_size ~dims:3 in
   let rank_at d =
     Sorl_util.Pool.with_domains d (fun () ->
-        let order = Sorl.Autotuner.rank tuner inst set in
+        let order = Sorl.Autotuner.top_k tuner inst ~k:n in
         let s, _reps =
-          Sorl_util.Timer.time_repeat (fun () -> ignore (Sorl.Autotuner.rank tuner inst set))
+          Sorl_util.Timer.time_repeat (fun () -> ignore (Sorl.Autotuner.top_k tuner inst ~k:n))
         in
         (order, s))
   in
@@ -951,7 +964,7 @@ let perf () =
     let spec = { Sorl.Training.size = 960; mode = Features.Extended; seed = 5 } in
     let ds = Sorl.Training.generate ~spec m in
     let tuner = Sorl.Autotuner.train_on ~mode:Features.Extended ds in
-    ignore (Sorl.Autotuner.rank tuner inst set);
+    ignore (Sorl.Autotuner.top_k tuner inst ~k:n);
     Sorl_util.Telemetry.report_json ()
   in
   if not was_on then begin
@@ -998,20 +1011,20 @@ let rank_throughput () =
   let n = Array.length set in
   (* Three ways to rank the 8640-candidate predefined set.  [seed] is
      the pre-fast-path implementation (one entry list per candidate fed
-     to the dense-scratch scorer), [sparse] additionally materializes a
-     sparse vector per candidate, [fast] is Autotuner.rank streaming
-     through the compiled encoder. *)
+     to the dense-scratch scorer), [sparse] materializes a sparse vector
+     per candidate, [fast] is the full top_k streaming through the
+     compiled encoder. *)
   let rank_seed () =
     let entries = Features.encoder_entries Features.Extended inst in
     let score = Sorl_svmrank.Model.entry_scorer model in
     Sorl_svmrank.Model.sort_by_score (Array.map (fun tn -> score (entries tn)) set)
   in
   let rank_sparse () =
-    let enc = Features.encoder Features.Extended inst in
+    let enc = Features.encode Features.Extended inst in
     Sorl_svmrank.Model.sort_by_score
       (Array.map (fun tn -> Sorl_svmrank.Model.score model (enc tn)) set)
   in
-  let rank_fast () = Sorl.Autotuner.rank tuner inst set in
+  let rank_fast () = Sorl.Autotuner.top_k tuner inst ~k:n in
   let to_tunings perm = Array.map (fun i -> set.(i)) perm in
   let fast_order = rank_fast () in
   let orders_ok =
@@ -1045,7 +1058,7 @@ let rank_throughput () =
     Table.add_row t
       [ name; Printf.sprintf "%.0f" cps; Printf.sprintf "%.1f" ns; Printf.sprintf "%.1f" alloc ]
   in
-  row "fast (compiled, Autotuner.rank)" fast_cps fast_ns fast_alloc;
+  row "fast (compiled, Autotuner.top_k k=n)" fast_cps fast_ns fast_alloc;
   row "seed (entry lists + scorer)" seed_cps seed_ns seed_alloc;
   row "sparse (vector per candidate)" sparse_cps sparse_ns sparse_alloc;
   Table.print t;
@@ -1138,14 +1151,14 @@ let serve_throughput () =
   let tuner = Sorl.Autotuner.train_on ~mode:Features.Extended (Sorl.Training.generate ~spec m) in
   let benchmark = "gradient-256x256x256" in
   let inst = Benchmarks.instance_by_name benchmark in
-  let set = Tuning.predefined_set ~dims:3 in
+  let n = Tuning.predefined_size ~dims:3 in
   (* Baseline: one in-process rank pass over the 8640-candidate set. *)
   let direct_s, _ =
     Sorl_util.Timer.time_repeat ~min_time:0.5 (fun () ->
-        ignore (Sys.opaque_identity (Sorl.Autotuner.rank tuner inst set)))
+        ignore (Sys.opaque_identity (Sorl.Autotuner.top_k tuner inst ~k:n)))
   in
   let direct_rps = 1. /. direct_s in
-  let expected = (Sorl.Autotuner.rank tuner inst set).(0) in
+  let expected = Sorl.Autotuner.tune tuner inst in
   let was_on = Sorl_util.Telemetry.enabled () in
   Sorl_util.Telemetry.set_enabled true;
   let dir = Filename.temp_dir "sorl-serve-bench" "" in
@@ -1431,10 +1444,10 @@ let cold_rank () =
   let problems = ref [] in
   let flag cond msg = if cond then problems := msg :: !problems in
   (* ---- in-process: three implementations of "best k of the grid".
-     [full] is the seed path (encode + sort all n), [sel] swaps the
-     sort for a bounded heap but still scores everything, [pruned] is
-     the shipped path: branch-and-bound over block subcubes with
-     reused scratch. ---- *)
+     [full] is the full engine (encode + sort all n, what top_k runs
+     for 2k >= n), [sel] swaps the sort for a bounded heap but still
+     scores everything, [pruned] is what top_k runs for small k:
+     branch-and-bound over block subcubes with reused scratch. ---- *)
   let scratch = Sorl.Autotuner.scratch () in
   let per_bench name =
     let inst = Benchmarks.instance_by_name name in
@@ -1442,15 +1455,15 @@ let cold_rank () =
     let set = Tuning.predefined_set ~dims in
     let n = Array.length set in
     let enc = Features.compile Features.Extended inst in
-    let full () = Array.sub (Sorl.Autotuner.rank_compiled tuner enc set) 0 k in
+    let full () = Array.sub (fst (Sorl.Autotuner.top_k_pruned tuner enc ~dims ~k:n)) 0 k in
     let sel () =
       let idx = Array.make (Features.max_nnz enc) 0 in
       let v = Array.make (Features.max_nnz enc) 0. in
-      let score = Sorl_svmrank.Model.slice_scorer model in
+      let score = Sorl_svmrank.Model.range_scorer model in
       let scores =
         Array.init n (fun i ->
             let e = Features.encode_into enc set.(i) idx v in
-            score idx v e)
+            score idx v 0 e)
       in
       Array.map (fun i -> set.(i)) (Sorl_svmrank.Model.top_k ~k scores)
     in
@@ -1482,8 +1495,8 @@ let cold_rank () =
   flag
     (s3.Sorl.Autotuner.cubes_pruned = 0 && s2.Sorl.Autotuner.cubes_pruned = 0)
     "pruning never fired on either benchmark";
-  (* ---- serve: the PR-5 cold configuration (cache off, full sort)
-     against the same server with the top-k path, identical load ---- *)
+  (* ---- serve: the cache-off server (top-k through the batcher)
+     against in-process full ranks under the same 4 x 50 load ---- *)
   let dir = Filename.temp_dir "sorl-cold-bench" "" in
   let store =
     match Sorl_serve.Model_store.open_dir dir with Ok s -> s | Error m -> failwith m
@@ -1491,16 +1504,6 @@ let cold_rank () =
   (match Sorl_serve.Model_store.save store ~name:"default" tuner with
   | Ok () -> ()
   | Error m -> failwith m);
-  let start_server ~topk name =
-    let address = Sorl_serve.Protocol.Unix_path (Filename.concat dir name) in
-    match
-      Sorl_serve.Server.start ~address ~workers:4 ~queue_capacity:64 ~cache_capacity:0
-        ~warm:false ~topk
-        (Sorl_serve.Server.Store (store, "default"))
-    with
-    | Ok s -> s
-    | Error m -> failwith m
-  in
   let benchmark = "gradient-256x256x256" in
   let errors = Atomic.make 0 in
   let run_load address ~clients ~per_client =
@@ -1535,13 +1538,26 @@ let cold_rank () =
   let query = Printf.sprintf "sorl1 rank %s %d" benchmark k in
   let clients = 4 and per_client = 50 in
   let total = clients * per_client in
-  let base_server = start_server ~topk:false "base.sock" in
-  let base_addr = Sorl_serve.Server.address base_server in
-  let base_wall = run_load base_addr ~clients ~per_client in
-  let base_reply = raw_ask base_addr query in
-  Sorl_serve.Server.stop base_server;
-  Sorl_serve.Server.wait base_server;
-  let fast_server = start_server ~topk:true "fast.sock" in
+  let inst = Benchmarks.instance_by_name benchmark in
+  let n = Tuning.predefined_size ~dims:(Kernel.dims (Instance.kernel inst)) in
+  let (), base_wall =
+    Sorl_util.Timer.time (fun () ->
+        Sorl_util.Pool.parallel_for ~domains:clients clients (fun _ ->
+            for _ = 1 to per_client do
+              ignore (Sys.opaque_identity (Sorl.Autotuner.top_k tuner inst ~k:n))
+            done))
+  in
+  let base_reply = rank_reply tuner inst ~top:k in
+  let fast_server =
+    match
+      Sorl_serve.Server.start
+        ~address:(Sorl_serve.Protocol.Unix_path (Filename.concat dir "fast.sock"))
+        ~workers:4 ~queue_capacity:64 ~cache_capacity:0 ~warm:false
+        (Sorl_serve.Server.Store (store, "default"))
+    with
+    | Ok s -> s
+    | Error m -> failwith m
+  in
   let fast_addr = Sorl_serve.Server.address fast_server in
   let fast_wall = run_load fast_addr ~clients ~per_client in
   let fast_reply = raw_ask fast_addr query in
@@ -1563,10 +1579,10 @@ let cold_rank () =
   let identical = String.equal base_reply fast_reply in
   let total_errors = Atomic.get errors in
   Printf.printf "serve cold (%d clients x %d, cache off):\n" clients per_client;
-  Printf.printf "  full sort  %.1f req/s\n" base_rps;
-  Printf.printf "  top-k      %.1f req/s (%.2fx)\n" fast_rps speedup;
+  Printf.printf "  in-process full rank  %.1f req/s\n" base_rps;
+  Printf.printf "  served top-k          %.1f req/s (%.2fx)\n" fast_rps speedup;
   Printf.printf
-    "  replies byte-identical: %b; pruned subcubes %d, candidates scored %d / pruned %d; \
+    "  replies byte-identical to in-process: %b; pruned subcubes %d, candidates scored %d / pruned %d; \
      arena hits %d / misses %d; protocol errors %d\n"
     identical (sget "pruned_subcubes") (sget "scored_candidates")
     (sget "pruned_candidates") (sget "arena_hits") (sget "arena_misses") total_errors;
@@ -1600,10 +1616,10 @@ let cold_rank () =
           \    \"serve\": {\n\
           \      \"clients\": %d,\n\
           \      \"requests\": %d,\n\
-          \      \"full_sort_req_per_s\": %.1f,\n\
+          \      \"in_process_full_rank_req_per_s\": %.1f,\n\
           \      \"topk_req_per_s\": %.1f,\n\
           \      \"speedup\": %.2f,\n\
-          \      \"replies_byte_identical\": %b,\n\
+          \      \"replies_byte_identical_to_in_process\": %b,\n\
           \      \"pruned_subcubes\": %d,\n\
           \      \"scored_candidates\": %d,\n\
           \      \"pruned_candidates\": %d,\n\
@@ -1615,9 +1631,9 @@ let cold_rank () =
           (sget "pruned_candidates") total_errors );
     ];
   flag (total_errors > 0) (Printf.sprintf "%d protocol errors under load" total_errors);
-  flag (not identical) "top-k and full-sort replies are not byte-identical";
+  flag (not identical) "served top-k and in-process full-rank replies are not byte-identical";
   flag (speedup < 5.)
-    (Printf.sprintf "cold throughput gate: %.2fx < 5x over the full-sort server" speedup);
+    (Printf.sprintf "cold throughput gate: %.2fx < 5x over in-process full ranks" speedup);
   flag (sget "pruned_subcubes" = 0) "served load pruned no subcubes";
   match !problems with
   | [] -> print_endline "OK: cold-rank gates passed"
@@ -1641,8 +1657,6 @@ let micro () =
     | (_, t) :: _ -> t
     | [] -> assert false
   in
-  let set = Tuning.predefined_set ~dims:3 in
-  let candidates100 = Array.sub set 0 100 in
   let small = Instance.create_xyz Benchmarks.edge ~sx:64 ~sy:64 ~sz:1 in
   let small_v = Sorl_codegen.Variant.compile small (Tuning.create ~bx:16 ~by:16 ~bz:1 ~u:2 ~c:2) in
   let small_in, small_out = Sorl_codegen.Interp.make_grids small in
@@ -1660,8 +1674,8 @@ let micro () =
       Test.make ~name:"model score (1 candidate)"
         (Staged.stage (fun () ->
              ignore (Sorl_svmrank.Model.score (Sorl.Autotuner.model tuner) phi)));
-      Test.make ~name:"rank 100 candidates"
-        (Staged.stage (fun () -> ignore (Sorl.Autotuner.rank tuner inst candidates100)));
+      Test.make ~name:"top-10 of 8640 candidates"
+        (Staged.stage (fun () -> ignore (Sorl.Autotuner.top_k tuner inst ~k:10)));
       Test.make ~name:"kendall-tau n=256"
         (Staged.stage (fun () -> ignore (Sorl_util.Rank_correlation.kendall_tau xs ys)));
       Test.make ~name:"interp edge 64x64 sweep"
@@ -1692,7 +1706,7 @@ let micro () =
 (* ---- telemetry overhead ---- *)
 
 let telemetry_overhead () =
-  header "Telemetry overhead: disabled-path cost relative to Autotuner.rank";
+  header "Telemetry overhead: disabled-path cost relative to a full Autotuner.top_k";
   let was_on = Sorl_util.Telemetry.enabled () in
   Sorl_util.Telemetry.set_enabled false;
   let c = Sorl_util.Telemetry.counter "bench.overhead" in
@@ -1712,10 +1726,10 @@ let telemetry_overhead () =
   let spec = { Sorl.Training.size = 960; mode = Features.Extended; seed = 5 } in
   let tuner = Sorl.Autotuner.train_on ~mode:Features.Extended (Sorl.Training.generate ~spec m) in
   let inst = Benchmarks.instance_by_name "gradient-256x256x256" in
-  let set = Tuning.predefined_set ~dims:3 in
+  let n = Tuning.predefined_size ~dims:3 in
   let rank_s, _ =
     Sorl_util.Timer.time_repeat ~min_time:0.2 (fun () ->
-        ignore (Sorl.Autotuner.rank tuner inst set))
+        ignore (Sorl.Autotuner.top_k tuner inst ~k:n))
   in
   if was_on then Sorl_util.Telemetry.set_enabled true;
   (* Disabled instrumentation on the rank path: the rank span, the
@@ -1725,7 +1739,7 @@ let telemetry_overhead () =
   let rel = overhead_s /. rank_s in
   Printf.printf "disabled telemetry op: %.1f ns (span+counter+histogram avg)\n"
     (per_op_s *. 1e9);
-  Printf.printf "Autotuner.rank (8640 candidates): %s\n" (Table.fmt_time rank_s);
+  Printf.printf "Autotuner.top_k (k = n = 8640): %s\n" (Table.fmt_time rank_s);
   Printf.printf "estimated disabled overhead per rank: %.5f%% (budget 1%%)\n" (rel *. 100.);
   if rel > 0.01 then
     if Sys.getenv_opt "CI" <> None then
@@ -1757,24 +1771,16 @@ let fleet_throughput () =
   in
   save "default" tuner_a;
   save "next" tuner_b;
-  (* Shards run the heavy configuration on purpose — cache off, full
-     sort — so every request costs a real scoring pass and the scaling
-     number measures compute spreading across shard processes, not
+  (* Shards run with the cache off, so every request costs a real
+     scoring pass (top-k through each shard's batcher) and the scaling
+     number measures work spreading across shard processes, not
      cache-lookup forwarding. *)
   let expected tuner inst =
-    let benchmark = Instance.name inst in
-    let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
-    let ranked = Sorl.Autotuner.rank tuner inst set in
-    ( Sorl_serve.Protocol.encode_response
-        (Sorl_serve.Protocol.Ranked
-           {
-             benchmark;
-             total = Array.length ranked;
-             tunings = Array.to_list (Array.sub ranked 0 3);
-             approx = false;
-           }),
+    ( rank_reply tuner inst ~top:3,
       Sorl_serve.Protocol.encode_response
-        (Sorl_serve.Protocol.Tuned { benchmark; tuning = ranked.(0); approx = false }) )
+        (Sorl_serve.Protocol.Tuned
+           { benchmark = Instance.name inst; tuning = Sorl.Autotuner.tune tuner inst; approx = false })
+    )
   in
   (* One work item per routing key the router distinguishes:
      (benchmark, rank) and (benchmark, tune), with the exact reply
@@ -1849,7 +1855,7 @@ let fleet_throughput () =
     match
       Sorl_serve.Server.start
         ~address:(Sorl_serve.Protocol.Unix_path (Filename.concat dir "direct.sock"))
-        ~workers:1 ~cache_capacity:0 ~warm:false ~topk:false ~conn_timeout_s:30.
+        ~workers:1 ~cache_capacity:0 ~warm:false ~conn_timeout_s:30.
         (Sorl_serve.Server.Store (store, "default"))
     with
     | Ok s -> s
@@ -1872,7 +1878,7 @@ let fleet_throughput () =
     let fleet =
       match
         Sorl_serve.Fleet.start ~dir:fdir ~shards ~workers:1 ~cache_capacity:0
-          ~warm:false ~topk:false ~conn_timeout_s:30.
+          ~warm:false ~conn_timeout_s:30.
           (Sorl_serve.Server.Store (store, "default"))
       with
       | Ok f -> f
@@ -2617,7 +2623,7 @@ let online_learn () =
   let fleet =
     match
       Sorl_serve.Fleet.start ~dir:(Filename.concat dir "fleet") ~shards:1 ~workers:2
-        ~cache_capacity:0 ~warm:false ~topk:false ~conn_timeout_s:30.
+        ~cache_capacity:0 ~warm:false ~conn_timeout_s:30.
         ~obs_dir:(Filename.concat dir "obs") ~canary_fraction:1.
         (Sorl_serve.Server.Store (store, "default"))
     with
@@ -2659,17 +2665,7 @@ let online_learn () =
       n
   in
   let expected_rank tuner benchmark =
-    let inst = Benchmarks.instance_by_name benchmark in
-    let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
-    let ranked = Sorl.Autotuner.rank tuner inst set in
-    Sorl_serve.Protocol.encode_response
-      (Sorl_serve.Protocol.Ranked
-         {
-           benchmark;
-           total = Array.length ranked;
-           tunings = Array.to_list (Array.sub ranked 0 3);
-           approx = false;
-         })
+    rank_reply tuner (Benchmarks.instance_by_name benchmark) ~top:3
   in
   let id_bench = List.hd benchmarks in
   let stable_bytes = expected_rank stable id_bench in

@@ -192,26 +192,24 @@ let rank_cmd =
         else begin
           with_trace trace trace_out @@ fun ~tracing:_ () ->
           let tuner = Sorl.Autotuner.load model_file in
-          let dims = Kernel.dims (Instance.kernel inst) in
-          let set = Tuning.predefined_set ~dims in
+          let n = Tuning.predefined_size ~dims:(Kernel.dims (Instance.kernel inst)) in
           let ranked, rank_s =
-            Sorl_util.Timer.time (fun () -> Sorl.Autotuner.rank tuner inst set)
+            Sorl_util.Timer.time (fun () -> Sorl.Autotuner.top_k tuner inst ~k:(max 0 top))
           in
-          Printf.printf "ranked %d configurations for %s in %s (no executions)\n"
-            (Array.length set) name (Sorl_util.Table.fmt_time rank_s);
+          Printf.printf "ranked the top %d of %d configurations for %s in %s (no executions)\n"
+            (Array.length ranked) n name (Sorl_util.Table.fmt_time rank_s);
           let measure = measure_of ~noise ~seed in
           let t = Sorl_util.Table.create
               ~aligns:[ Sorl_util.Table.Right; Sorl_util.Table.Left; Sorl_util.Table.Right ]
               [ "rank"; "tuning"; "model-measured GF/s" ] in
           Array.iteri
             (fun i tn ->
-              if i < top then
-                Sorl_util.Table.add_row t
-                  [
-                    string_of_int (i + 1);
-                    Tuning.to_string tn;
-                    Printf.sprintf "%.2f" (Sorl_machine.Measure.gflops measure inst tn);
-                  ])
+              Sorl_util.Table.add_row t
+                [
+                  string_of_int (i + 1);
+                  Tuning.to_string tn;
+                  Printf.sprintf "%.2f" (Sorl_machine.Measure.gflops measure inst tn);
+                ])
             ranked;
           Sorl_util.Table.print t;
           Ok ()

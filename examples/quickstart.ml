@@ -52,10 +52,9 @@ let () =
 
   (* 5. The ranking itself is the contribution: scoring a candidate is
      three orders of magnitude cheaper than measuring it. *)
-  let candidates = Array.sub set 0 1000 in
+  let n = Array.length set in
   let rank_s =
-    Sorl_util.Timer.time_unit (fun () -> ignore (Sorl.Autotuner.rank tuner inst candidates))
+    Sorl_util.Timer.time_unit (fun () -> ignore (Sorl.Autotuner.top_k tuner inst ~k:n))
   in
-  Printf.printf "\nranked %d candidates in %s without a single execution\n"
-    (Array.length candidates)
+  Printf.printf "\nranked all %d candidates in %s without a single execution\n" n
     (Sorl_util.Table.fmt_time rank_s)

@@ -51,7 +51,7 @@ let train ?(params = default_params) ~mode ds =
 let predict_log_runtime t phi = Sorl_util.Sparse.dot_dense phi t.w +. t.bias
 
 let rank t inst candidates =
-  let encode = Features.encoder t.mode inst in
+  let encode = Features.encode t.mode inst in
   let preds = Array.map (fun tn -> predict_log_runtime t (encode tn)) candidates in
   let idx = Array.init (Array.length candidates) (fun i -> i) in
   Array.sort

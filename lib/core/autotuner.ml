@@ -32,89 +32,48 @@ let model t = t.model
 let feature_mode t = t.mode
 let weights t = Sorl_svmrank.Model.weights t.model
 
-let score t inst tuning =
-  Sorl_svmrank.Model.score t.model (Features.encode t.mode inst tuning)
+let score t inst =
+  let encode = Features.encode t.mode inst in
+  fun tuning -> Sorl_svmrank.Model.score t.model (encode tuning)
 
 let embed t inst = Features.embedding t.mode inst
 
 let candidates_counter = Sorl_util.Telemetry.counter "rank.candidates"
-let encode_hist = Sorl_util.Telemetry.histogram "rank.encode_s"
-let score_hist = Sorl_util.Telemetry.histogram "rank.score_s"
 
-(* Streams candidates through a compiled per-instance encoder in
-   parallel chunks, filling [scores]: each chunk owns one scratch
-   index/value region that [Features.encode_into]/[encode_at] refills,
-   and the range scorer walks filled entries against the dense weights
-   — no allocation per candidate.  Both are bit-identical to
-   encode-then-score, so every consumer (full sort, top-k selection)
-   sees the scores the slow serial path would produce. *)
-let scores_enc t enc candidates scores =
-  let n = Array.length candidates in
-  Sorl_util.Telemetry.add candidates_counter n;
-  ignore
-    (Sorl_util.Pool.parallel_chunks n (fun lo hi ->
-         let score = Sorl_svmrank.Model.range_scorer t.model in
-         let m = Features.max_nnz enc in
-         if Sorl_util.Telemetry.enabled () then begin
-           (* Traced path: encode the whole chunk into one flat block,
-              then score it, so the two phases appear as separate spans
-              with per-candidate latency histograms.  The block is one
-              allocation per chunk (offsets into shared idx/v arrays) —
-              not the two [Array.sub] copies per candidate this path
-              used to make — and each row is scored in place via the
-              range scorer.  Entries and scores come from the same pure
-              functions as the interleaved loop below, so the scores
-              (hence the ranking) are bit-identical. *)
-           let cnt = hi - lo in
-           let idx = Array.make (max 1 (cnt * m)) 0 in
-           let v = Array.make (max 1 (cnt * m)) 0. in
-           let offs = Array.make (cnt + 1) 0 in
-           Sorl_util.Telemetry.span "features/encode" (fun () ->
-               for k = 0 to cnt - 1 do
-                 offs.(k + 1) <-
-                   Sorl_util.Telemetry.time_hist encode_hist (fun () ->
-                       Features.encode_at enc candidates.(lo + k) idx v offs.(k))
-               done);
-           Sorl_util.Telemetry.span "model/score" (fun () ->
-               for k = 0 to cnt - 1 do
-                 scores.(lo + k) <-
-                   Sorl_util.Telemetry.time_hist score_hist (fun () ->
-                       score idx v offs.(k) offs.(k + 1))
-               done)
-         end
-         else begin
-           let idx = Array.make m 0 in
-           let v = Array.make m 0. in
-           for i = lo to hi - 1 do
-             let e = Features.encode_into enc candidates.(i) idx v in
-             scores.(i) <- score idx v 0 e
-           done
-         end))
+(* The predefined sets, built on first use and then shared: tuning
+   records are immutable, so every full rank can return them instead
+   of rebuilding 8640 records per call.  Building them at module
+   initialization would tax every process start.  Two domains racing
+   on the first use build equal arrays; either may win. *)
+let grids = [| Atomic.make [||]; Atomic.make [||] |]
 
-let rank_enc t enc candidates =
+let grid ~dims =
+  let slot = grids.(if dims = 2 then 0 else 1) in
+  if Array.length (Atomic.get slot) = 0 then Atomic.set slot (Tuning.predefined_set ~dims);
+  Atomic.get slot
+
+(* The full engine: streams every candidate through the compiled
+   encoder in parallel chunks — each chunk owns one scratch pair that
+   [Features.encode_into] refills and the range scorer walks, no
+   allocation per candidate — then sorts by (score, index) and keeps
+   the first [k].  Scores are bit-identical to encode-then-score, so
+   the order is the seed ranking's at every pool size. *)
+let rank_all t enc set ~k =
   Sorl_util.Telemetry.span "autotuner/rank" (fun () ->
-      let scores = Array.make (Array.length candidates) 0. in
-      scores_enc t enc candidates scores;
+      let n = Array.length set in
+      Sorl_util.Telemetry.add candidates_counter n;
+      let scores = Array.make n 0. in
+      ignore
+        (Sorl_util.Pool.parallel_chunks n (fun lo hi ->
+             let score = Sorl_svmrank.Model.range_scorer t.model in
+             let m = Features.max_nnz enc in
+             let idx = Array.make m 0 and v = Array.make m 0. in
+             for i = lo to hi - 1 do
+               let e = Features.encode_into enc set.(i) idx v in
+               scores.(i) <- score idx v 0 e
+             done));
       let order = Sorl_svmrank.Model.sort_by_score scores in
-      Array.map (fun i -> candidates.(i)) order)
-
-let rank t inst candidates = rank_enc t (Features.compile t.mode inst) candidates
-
-let rank_compiled t enc candidates =
-  if Features.compiled_mode enc <> t.mode then
-    invalid_arg "Autotuner.rank_compiled: encoder mode does not match the tuner";
-  rank_enc t enc candidates
-
-let best t inst candidates =
-  if Array.length candidates = 0 then invalid_arg "Autotuner.best: no candidates";
-  Sorl_util.Telemetry.span "autotuner/rank" (fun () ->
-      let enc = Features.compile t.mode inst in
-      let scores = Array.make (Array.length candidates) 0. in
-      scores_enc t enc candidates scores;
-      (* Partial selection instead of a full sort: [Model.top_k] keeps
-         the (score, index) order of [sort_by_score], so this is the
-         element a full rank would put first. *)
-      candidates.((Sorl_svmrank.Model.top_k ~k:1 scores).(0)))
+      Array.init k (fun r -> set.(order.(r))))
 
 (* ---- branch-and-bound top-k over the predefined grid ---- *)
 
@@ -135,7 +94,6 @@ type prune_stats = {
 
 let pruned_cubes_counter = Sorl_util.Telemetry.counter "rank.pruned_subcubes"
 let pruned_cands_counter = Sorl_util.Telemetry.counter "rank.pruned_candidates"
-let scored_cands_counter = Sorl_util.Telemetry.counter "rank.scored_candidates"
 
 (* Top-k over the paper's predefined set without materializing or even
    visiting most of it.  One subcube per (bx, by, bz) block triple
@@ -147,7 +105,7 @@ let scored_cands_counter = Sorl_util.Telemetry.counter "rank.scored_candidates"
    compiled encoder + range scorer as the full rank, and candidates
    enter the heap under their full-set flat index, so the surviving
    top-k — order, tiebreaks and all — is exactly the first k elements
-   of [rank t inst (Tuning.predefined_set ~dims)].  Bounds are sound
+   of the full [rank_all] over [Tuning.predefined_set ~dims].  Bounds are sound
    by construction ({!Features.bound_lower}); a loose bound only means
    less pruning, never a different answer. *)
 (* An incumbent set of >= k grid members gives a sound initial pruning
@@ -167,20 +125,14 @@ let on_grid a (tn : Tuning.t) =
   && has a.Tuning.ax_u tn.Tuning.u
   && has a.Tuning.ax_c tn.Tuning.c
 
-let top_k_pruned ?scratch:s ?incumbents t enc ~dims ~k =
-  if Features.compiled_mode enc <> t.mode then
-    invalid_arg "Autotuner.top_k_pruned: encoder mode does not match the tuner";
-  if k < 0 then invalid_arg "Autotuner.top_k_pruned: negative k";
+let prune_scan s ?incumbents t enc a ~k =
   Sorl_util.Telemetry.span "autotuner/top_k" (fun () ->
-      let s = match s with Some s -> s | None -> scratch () in
-      let a = Tuning.predefined_axes ~dims in
       let nby = Array.length a.Tuning.ax_by
       and nbz = Array.length a.Tuning.ax_bz
       and nu = Array.length a.Tuning.ax_u
       and nc = Array.length a.Tuning.ax_c in
       let ncubes = Array.length a.Tuning.ax_bx * nby * nbz in
       let cube_cands = nu * nc in
-      let k = min k (ncubes * cube_cands) in
       if k = 0 then
         ([||], { cubes = ncubes; cubes_pruned = ncubes; scored = 0; pruned = ncubes * cube_cands })
       else begin
@@ -298,7 +250,6 @@ let top_k_pruned ?scratch:s ?incumbents t enc ~dims ~k =
         Sorl_util.Telemetry.add candidates_counter !scored;
         Sorl_util.Telemetry.add pruned_cubes_counter !cubes_pruned;
         Sorl_util.Telemetry.add pruned_cands_counter (!cubes_pruned * cube_cands);
-        Sorl_util.Telemetry.add scored_cands_counter !scored;
         ( result,
           {
             cubes = ncubes;
@@ -307,6 +258,27 @@ let top_k_pruned ?scratch:s ?incumbents t enc ~dims ~k =
             pruned = !cubes_pruned * cube_cands;
           } )
       end)
+
+(* One entry, two engines, picked from [k] alone: branch-and-bound
+   pays off while the k-th best score can prune most cubes, but near a
+   full rank it scores almost everything and its per-cube bookkeeping
+   loses to one parallel score-and-sort — the [2k < n] rule
+   [Model.top_k] uses for heap selection versus sorting.  Both return
+   exactly the first [k] of the (score, index) order. *)
+let top_k_pruned ?scratch:s ?incumbents t enc ~dims ~k =
+  if Features.compiled_mode enc <> t.mode then
+    invalid_arg "Autotuner.top_k_pruned: encoder mode does not match the tuner";
+  if k < 0 then invalid_arg "Autotuner.top_k_pruned: negative k";
+  let a = Tuning.predefined_axes ~dims in
+  let n = Tuning.predefined_size ~dims in
+  let k = min k n in
+  if 2 * k < n then
+    prune_scan (match s with Some s -> s | None -> scratch ()) ?incumbents t enc a ~k
+  else
+    let cubes =
+      Array.length a.Tuning.ax_bx * Array.length a.Tuning.ax_by * Array.length a.Tuning.ax_bz
+    in
+    (rank_all t enc (grid ~dims) ~k, { cubes; cubes_pruned = 0; scored = n; pruned = 0 })
 
 let top_k ?scratch ?incumbents t inst ~k =
   fst

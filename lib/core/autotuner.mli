@@ -1,11 +1,11 @@
 (** The ordinal-regression autotuner — the paper's contribution, end to
     end.
 
-    Train once on synthetic stencils (§V-B), then rank arbitrary tuning
-    configurations for an unseen stencil instance without executing any
-    of them (§V-C): the top-ranked configuration is the tuner's answer.
-    The tuner can also act as a ranking oracle inside an iterative
-    search (see {!Hybrid}). *)
+    Train once on synthetic stencils (§V-B), then rank the predefined
+    tuning configurations for an unseen stencil instance without
+    executing any of them (§V-C): the top-ranked configuration is the
+    tuner's answer.  The tuner can also act as a ranking oracle inside
+    an iterative search (see {!Hybrid}). *)
 
 type t
 
@@ -45,7 +45,8 @@ val weights : t -> Sorl_util.Vec.t
     warm-started {!train_on}. *)
 
 val score : t -> Sorl_stencil.Instance.t -> Sorl_stencil.Tuning.t -> float
-(** Predicted-rank score; lower means predicted faster. *)
+(** Predicted-rank score; lower means predicted faster.  [score t inst]
+    partially applied compiles the instance once. *)
 
 val embed : t -> Sorl_stencil.Instance.t -> float array
 (** {!Sorl_stencil.Features.embedding} under this tuner's feature mode:
@@ -53,52 +54,37 @@ val embed : t -> Sorl_stencil.Instance.t -> float array
     similarity measure of the serving layer's near-miss reuse
     ({!Sorl_util.Nn_index}).  Deterministic and pool-size independent. *)
 
-val rank :
-  t -> Sorl_stencil.Instance.t -> Sorl_stencil.Tuning.t array ->
-  Sorl_stencil.Tuning.t array
-(** Candidates sorted best-first by predicted rank.  No execution
-    happens.  Candidates stream through the compiled per-instance
-    encoder ({!Sorl_stencil.Features.compile}) into per-chunk scratch
-    buffers — no allocation per candidate — chunked over the
-    {!Sorl_util.Pool}; the resulting order is identical for every pool
-    size and bit-identical to encode-and-{!score} per candidate. *)
+(** {2 Ranking: one top-k over the predefined set}
 
-val rank_compiled :
-  t -> Sorl_stencil.Features.compiled -> Sorl_stencil.Tuning.t array ->
-  Sorl_stencil.Tuning.t array
-(** {!rank} with a caller-supplied compiled encoder, skipping the
-    per-call {!Sorl_stencil.Features.compile} — the entry point for
-    callers that rank the same instance repeatedly and cache encoders
-    (e.g. the serving subsystem's batcher).  The encoder must have been
-    compiled from this tuner's feature mode (checked,
-    [Invalid_argument]) for the instance being ranked (not checkable —
-    the caller's cache key must pin it).  Output is bit-identical to
-    {!rank} on that instance. *)
+    The tuner ranks the paper's predefined configuration set of the
+    instance's dimensionality (1600 or 8640 configurations, §VI-A), and
+    every ranking entry below goes through {!top_k_pruned}.  It picks
+    one of two engines from [k] alone, and both return {e exactly} the
+    first [k] elements of the full rank — candidates ordered by
+    ascending score, ties by position in {!Sorl_stencil.Tuning.predefined_set}:
 
-val best :
-  t -> Sorl_stencil.Instance.t -> Sorl_stencil.Tuning.t array ->
-  Sorl_stencil.Tuning.t
-(** Top-ranked candidate — the element [rank] would put first, found by
-    partial selection ({!Sorl_svmrank.Model.top_k}) without sorting the
-    other scores.  Raises [Invalid_argument] on empty input. *)
+    - [2k < n]: branch and bound.  One score lower bound per
+      (bx, by, bz) subcube ({!Sorl_stencil.Features.bound_lower}),
+      cubes visited in ascending bound order, whole cubes skipped once
+      the k-th best score beats their bound.  Bounds are sound lower
+      bounds minus a float-safety epsilon, and skipping requires a
+      strictly larger bound, so equal-score index tiebreaks survive.
+    - otherwise: score everything and sort.  Candidates stream through
+      the compiled encoder ({!Sorl_stencil.Features.compile}) into
+      per-chunk scratch, chunked over the {!Sorl_util.Pool}, then sort
+      by score.  Near a full rank pruning would score almost every
+      cube anyway, and this engine is the faster one there.
 
-(** {2 Branch-and-bound top-k over the predefined set}
-
-    The serving cold path needs only the first few elements of a rank
-    over the paper's predefined grid.  [top_k_pruned] gets them without
-    visiting most of the grid: one score lower bound per (bx, by, bz)
-    subcube ({!Sorl_stencil.Features.bound_lower}), cubes visited in
-    ascending bound order, whole cubes skipped once the k-th best score
-    beats their bound.  Output is {e exactly} the first k elements of
-    the full rank — bounds are sound lower bounds minus a float-safety
-    epsilon, skipping requires a strictly larger bound (so equal-score
-    index tiebreaks survive), and unpruned cubes are scored through the
-    same compiled encoder and scorer as the full rank. *)
+    Both engines score through the same compiled encoder and range
+    scorer, bit-identical to encode-and-{!score} per candidate, so the
+    order is identical for every pool size.  A full rank is
+    [top_k ~k:(Tuning.predefined_size ~dims)]. *)
 
 type scratch
-(** Reusable working memory (encode scratch + selection heap) so a
-    cold top-k allocates O(k + subcubes), not O(n).  Not thread-safe:
-    one scratch per concurrent caller. *)
+(** Reusable working memory (encode scratch + selection heap) of the
+    branch-and-bound engine, so a cold small-k top-k allocates
+    O(k + subcubes), not O(n).  Not thread-safe: one scratch per
+    concurrent caller. *)
 
 val scratch : unit -> scratch
 
@@ -117,14 +103,14 @@ val top_k_pruned :
   dims:int ->
   k:int ->
   Sorl_stencil.Tuning.t array * prune_stats
-(** [top_k_pruned t enc ~dims ~k] is
-    [Array.sub (rank_compiled t enc (Tuning.predefined_set ~dims)) 0 k]
-    (element for element), plus how much of the grid it skipped.  [k]
-    is clamped to the set size; [k = 0] yields [[||]].  The encoder
-    must be compiled from this tuner's mode (checked) for the instance
-    being ranked (pinned by the caller's cache key, as with
-    {!rank_compiled}).  Raises [Invalid_argument] on mode mismatch or
-    negative [k].
+(** [top_k_pruned t enc ~dims ~k] is the first [k] elements of the
+    full rank of [Tuning.predefined_set ~dims] (element for element),
+    plus how much of the grid the branch-and-bound engine skipped; the
+    full engine reports [scored = n], [pruned = 0].  [k] is clamped to
+    the set size; [k = 0] yields [[||]].  The encoder must be compiled
+    from this tuner's mode (checked) for the instance being ranked (not
+    checkable — a caller that caches encoders pins it with its cache
+    key).  Raises [Invalid_argument] on mode mismatch or negative [k].
 
     [incumbents] are warm-start candidates (e.g. a similar instance's
     known winners) used {e only} to tighten the initial pruning bound:
@@ -144,16 +130,15 @@ val top_k :
   k:int ->
   Sorl_stencil.Tuning.t array
 (** {!top_k_pruned} with a freshly compiled encoder and the instance's
-    own dimensionality; just the tunings. *)
+    own dimensionality; just the tunings.  No execution happens. *)
 
 val tune :
   ?incumbent:Sorl_stencil.Tuning.t ->
   t ->
   Sorl_stencil.Instance.t ->
   Sorl_stencil.Tuning.t
-(** {!best} over the paper's pre-defined configuration set for the
-    instance's dimensionality (1600 or 8640 configurations, §VI-A) —
-    computed as {!top_k} with [k = 1], so the grid is pruned, not
+(** The tuner's answer: the top-ranked configuration of the predefined
+    set — {!top_k} with [k = 1], so the grid is pruned, not
     enumerated.  [incumbent] (e.g. a neighbor instance's best
     configuration) seeds the pruning bound as in {!top_k_pruned};
     the answer never depends on it. *)

@@ -43,12 +43,12 @@ let rank_repeat_hist = Sorl_util.Telemetry.histogram "experiments.rank_repeat_s"
 
 let table2 trained_list =
   let rank_target = Benchmarks.instance_by_name "gradient-256x256x256" in
-  let candidates = Tuning.predefined_set ~dims:3 in
+  let n = Tuning.predefined_size ~dims:3 in
   List.map
     (fun tr ->
       let t2_regression_s, t2_regression_reps =
         Sorl_util.Timer.time_repeat (fun () ->
-            ignore (Autotuner.rank tr.tuner rank_target candidates))
+            ignore (Autotuner.top_k tr.tuner rank_target ~k:n))
       in
       Sorl_util.Telemetry.observe ~count:t2_regression_reps rank_repeat_hist t2_regression_s;
       {
@@ -97,7 +97,7 @@ let fig4 ?(budget = 1024) ?(seed = 17) measure ~tuners instances =
       let regression_runtime_s =
         List.map
           (fun (size, tuner) ->
-            let best = Autotuner.best tuner inst (predefined_for inst) in
+            let best = Autotuner.tune tuner inst in
             (size, Sorl_machine.Measure.runtime measure inst best))
           tuners
       in
@@ -153,13 +153,13 @@ let fig5 ?(budget = 1024) ?(seed = 17) ?(compile_overhead_s = 45.) measure ~tune
         List.split
           (List.map
              (fun (size, tuner) ->
-               let candidates = predefined_for inst in
+               let n = Tuning.predefined_size ~dims:(Kernel.dims (Instance.kernel inst)) in
                let rank_s, rank_reps =
                  Sorl_util.Timer.time_repeat (fun () ->
-                     ignore (Autotuner.rank tuner inst candidates))
+                     ignore (Autotuner.top_k tuner inst ~k:n))
                in
                Sorl_util.Telemetry.observe ~count:rank_reps rank_repeat_hist rank_s;
-               let best = Autotuner.best tuner inst candidates in
+               let best = Autotuner.tune tuner inst in
                let rt = Sorl_machine.Measure.runtime measure inst best in
                ( (size, gflops rt),
                  (Printf.sprintf "regr-%d" size, rank_s +. compile_overhead_s +. rt) ))

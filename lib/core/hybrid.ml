@@ -1,14 +1,10 @@
-open Sorl_stencil
-
-let predefined inst = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst))
-
 let verifications_counter = Sorl_util.Telemetry.counter "hybrid.verifications"
 
 let rank_then_measure tuner measure inst ~budget =
   if budget < 1 then invalid_arg "Hybrid.rank_then_measure: budget must be >= 1";
   Sorl_util.Telemetry.span "hybrid/rank_then_measure" (fun () ->
-      let ranked = Autotuner.rank tuner inst (predefined inst) in
-      let n = min budget (Array.length ranked) in
+      let ranked = Autotuner.top_k tuner inst ~k:budget in
+      let n = Array.length ranked in
       Sorl_util.Telemetry.add verifications_counter n;
       let best = ref ranked.(0) in
       let best_rt = ref infinity in
@@ -25,7 +21,7 @@ let seeded_search tuner measure inst ~budget ?(seed = 0) ?(population = 32) () =
   if budget < population then
     invalid_arg "Hybrid.seeded_search: budget smaller than the population";
   let problem = Tuning_problem.problem measure inst in
-  let ranked = Autotuner.rank tuner inst (predefined inst) in
+  let ranked = Autotuner.top_k tuner inst ~k:population in
   let rng = Sorl_util.Rng.create seed in
   let outcome =
     Sorl_search.Runner.run_with ~budget problem (fun r ->

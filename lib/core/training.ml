@@ -73,7 +73,7 @@ let build ~spec ~instances ~strategy =
                 Sorl_util.Telemetry.time_hist instance_hist (fun () ->
                     let inst = insts.(qi) in
                     let rng = Sorl_util.Rng.create (Sorl_util.Rng.derive_seed spec.seed qi) in
-                    let encode = Features.encoder spec.mode inst in
+                    let encode = Features.encode spec.mode inst in
                     let samples = ref [] in
                     let tunings = ref [] in
                     let record t runtime =
@@ -204,7 +204,7 @@ let of_measurements ~mode measurements =
       (List.mapi
          (fun qi name ->
            let inst, block = Hashtbl.find tbl name in
-           let encode = Features.encoder mode inst in
+           let encode = Features.encode mode inst in
            List.rev_map
              (fun (t, cost) ->
                {

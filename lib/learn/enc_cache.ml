@@ -36,14 +36,16 @@ let path seg_file = seg_file ^ ".enc"
    {!Trainer.resolve}).  Compiled encoders are memoized per benchmark
    within the segment. *)
 let encode_records ~mode records =
-  let encoders : (string, Features.compiled option) Hashtbl.t = Hashtbl.create 16 in
+  let encoders : (string, (Tuning.t -> Sorl_util.Sparse.t) option) Hashtbl.t =
+    Hashtbl.create 16
+  in
   let encoder name =
     match Hashtbl.find_opt encoders name with
     | Some e -> e
     | None ->
       let e =
         match Benchmarks.instance_by_name name with
-        | inst -> Some (Features.compile mode inst)
+        | inst -> Some (Features.encode mode inst)
         | exception Not_found -> None
       in
       Hashtbl.add encoders name e;
@@ -53,7 +55,7 @@ let encode_records ~mode records =
     (fun (r : Obs_log.record) ->
       match encoder r.Obs_log.obs.Obs_log.benchmark with
       | None -> None
-      | Some enc -> Some (Features.encode_compiled enc r.Obs_log.obs.Obs_log.tuning))
+      | Some encode -> Some (encode r.Obs_log.obs.Obs_log.tuning))
     records
   |> Array.of_list
 

@@ -199,10 +199,8 @@ let per_benchmark_tau tuner obs =
           let scale = Float.max 1. (Float.max (Float.abs lo) (Float.abs hi)) in
           if hi -. lo <= 1e-9 *. scale then None
           else begin
-            let scores =
-              Array.of_list
-                (List.map (fun o -> Sorl.Autotuner.score tuner inst o.Obs_log.tuning) block)
-            in
+            let score = Sorl.Autotuner.score tuner inst in
+            let scores = Array.of_list (List.map (fun o -> score o.Obs_log.tuning) block) in
             Some (name, Sorl_util.Rank_correlation.kendall_tau scores costs)
           end
         end)

@@ -90,10 +90,7 @@ let env_cache_capacity () =
   let parse v =
     match int_of_string_opt (String.trim v) with Some n when n >= 0 -> Some n | _ -> None
   in
-  match Sys.getenv_opt "Sorl_MEASURE_CACHE" with
-  | Some v -> parse v
-  | None -> (
-    match Sys.getenv_opt "SORL_MEASURE_CACHE" with Some v -> parse v | None -> None)
+  Option.bind (Sys.getenv_opt "SORL_MEASURE_CACHE") parse
 
 let make_cache = function
   | Some n ->

@@ -23,8 +23,8 @@
     often it is asked (the model backend by construction, the wallclock
     backend because the first measurement is remembered), so searches
     behave identically with the cache on or off — only faster.  The
-    default capacity is 8192 entries; the [Sorl_MEASURE_CACHE] (or
-    [SORL_MEASURE_CACHE]) environment variable overrides it, and a
+    default capacity is 8192 entries; the [SORL_MEASURE_CACHE]
+    environment variable overrides it, and a
     capacity of 0 disables caching entirely. *)
 
 type t
@@ -34,7 +34,7 @@ val model :
 (** Cost-model backend.  [noise_amplitude] (default 0.02) bounds the
     relative perturbation; 0 disables noise.  [seed] (default 42) keys
     the noise hash.  [cache_capacity] overrides the memo capacity
-    (0 disables; default from [Sorl_MEASURE_CACHE], else 8192). *)
+    (0 disables; default from [SORL_MEASURE_CACHE], else 8192). *)
 
 val wallclock : ?repeats:int -> ?cache_capacity:int -> unit -> t
 (** Interpreter-execution backend; the median of [repeats] runs

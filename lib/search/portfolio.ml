@@ -5,10 +5,9 @@ let run ?(seed = 0) ?(algorithms = Registry.all) ?(budget = 1024) problem =
   let winner = ref (List.hd algorithms) in
   let outer_outcome =
     Runner.run_with ~budget problem (fun outer ->
-        (* every inner evaluation flows through the global runner *)
-        let wrapped =
-          Problem.create ~bounds:(Problem.bounds problem) ~eval:(fun p -> Runner.eval outer p)
-        in
+        (* every inner evaluation is also recorded by the global
+           runner, on this domain, in submission order *)
+        let wrapped = Runner.child outer in
         let rounds = max 1 (int_of_float (ceil (log (float_of_int n) /. log 2.))) in
         let elimination_budget = budget / 2 in
         let survivors = ref algorithms in

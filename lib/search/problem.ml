@@ -1,9 +1,14 @@
-type t = { bounds : (int * int) array; eval_fn : int array -> float }
+type parent = { record : int array -> float -> unit; remaining : unit -> int }
+
+type t = { bounds : (int * int) array; eval_fn : int array -> float; parent : parent option }
 
 let create ~bounds ~eval =
   if Array.length bounds = 0 then invalid_arg "Problem.create: no coordinates";
   Array.iter (fun (lo, hi) -> if lo > hi then invalid_arg "Problem.create: lo > hi") bounds;
-  { bounds; eval_fn = eval }
+  { bounds; eval_fn = eval; parent = None }
+
+let with_parent t parent = { t with parent = Some parent }
+let parent t = t.parent
 
 let bounds t = Array.copy t.bounds
 let dims t = Array.length t.bounds
@@ -19,6 +24,13 @@ let eval t p =
   let c = t.eval_fn (clamp t p) in
   if not (Float.is_finite c) then invalid_arg "Problem.eval: objective returned non-finite cost";
   c
+
+(* Closes over a parent-free copy, so a runner can hand it to pool
+   workers without making its own or its parent's bookkeeping
+   reachable from them. *)
+let objective t =
+  let base = { t with parent = None } in
+  eval base
 
 let wide lo hi = hi - lo >= 64 && lo >= 1
 

@@ -13,6 +13,24 @@ val create : bounds:(int * int) array -> eval:(int array -> float) -> t
     one coordinate); [eval] returns the cost to minimize (must be
     finite). *)
 
+type parent = {
+  record : int array -> float -> unit;
+      (** account one completed evaluation (point, cost) upstream *)
+  remaining : unit -> int;  (** evaluations the upstream budget still allows *)
+}
+(** Upstream accounting of a child problem (see {!Runner.child}). *)
+
+val with_parent : t -> parent -> t
+(** The same objective and bounds, with every runner created on the
+    result also accounting to [parent]. *)
+
+val parent : t -> parent option
+
+val objective : t -> int array -> float
+(** [objective t] is {!eval} as a closure over the bounds and the
+    objective function only — no {!parent} accounting is reachable
+    from it, so it is what runners hand to {!Sorl_util.Pool} workers. *)
+
 val bounds : t -> (int * int) array
 val dims : t -> int
 val eval : t -> int array -> float

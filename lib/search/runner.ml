@@ -2,6 +2,8 @@ exception Out_of_budget
 
 type t = {
   problem : Problem.t;
+  objective : int array -> float;  (** the base problem; what workers run *)
+  parent : Problem.parent option;
   budget : int;
   mutable evals : int;
   mutable best : (int array * float) option;
@@ -15,6 +17,8 @@ let create ?(budget = 1024) problem =
   if budget <= 0 then invalid_arg "Runner.create: budget must be positive";
   {
     problem;
+    objective = Problem.objective problem;
+    parent = Problem.parent problem;
     budget;
     evals = 0;
     best = None;
@@ -27,8 +31,9 @@ let create ?(budget = 1024) problem =
 let eval_counter = Sorl_util.Telemetry.counter "search.evaluations"
 let dup_counter = Sorl_util.Telemetry.counter "search.duplicate_evaluations"
 
-(* Book-keeping for one completed evaluation; always runs on the main
-   domain, in evaluation order. *)
+(* Book-keeping for one completed evaluation, forwarded to the parent
+   runner of a child problem; always runs on the submitting domain, in
+   evaluation order — never inside a pool worker. *)
 let record t p c =
   Sorl_util.Telemetry.incr eval_counter;
   let cp = Problem.clamp t.problem p in
@@ -45,21 +50,26 @@ let record t p c =
   let bc = match t.best with Some (_, bc) -> bc | None -> c in
   t.curve.(t.evals) <- bc;
   t.evals <- t.evals + 1;
-  t.cost_sum <- t.cost_sum +. c
+  t.cost_sum <- t.cost_sum +. c;
+  match t.parent with Some pa -> pa.Problem.record p c | None -> ()
+
+let remaining t =
+  let own = t.budget - t.evals in
+  match t.parent with Some pa -> min own (pa.remaining ()) | None -> own
 
 let eval t p =
-  if t.evals >= t.budget then raise Out_of_budget;
-  let c = Problem.eval t.problem p in
+  if remaining t <= 0 then raise Out_of_budget;
+  let c = t.objective p in
   record t p c;
   c
 
 let eval_batch t ps =
   let k = Array.length ps in
-  let m = min k (t.budget - t.evals) in
+  let m = min k (remaining t) in
   if m = 0 && k > 0 then raise Out_of_budget;
-  let costs =
-    Sorl_util.Pool.parallel_map (Problem.eval t.problem) (Array.sub ps 0 m)
-  in
+  (* Workers run only the base objective; all bookkeeping (this
+     runner's and its parent's) happens below, on this domain. *)
+  let costs = Sorl_util.Pool.parallel_map t.objective (Array.sub ps 0 m) in
   (* Record sequentially in submission order so best-so-far, curve and
      cost accounting are identical to [m] serial [eval] calls. *)
   Array.iteri (fun i c -> record t ps.(i) c) costs;
@@ -68,7 +78,11 @@ let eval_batch t ps =
 
 let evaluations t = t.evals
 let budget t = t.budget
-let remaining t = t.budget - t.evals
+
+let child t =
+  Problem.with_parent t.problem
+    { Problem.record = (fun p c -> record t p c); remaining = (fun () -> remaining t) }
+
 let best t = t.best
 let curve t = Array.sub t.curve 0 t.evals
 let total_cost t = t.cost_sum

@@ -29,7 +29,21 @@ val eval_batch : t -> int array array -> float array
 
 val evaluations : t -> int
 val budget : t -> int
+
 val remaining : t -> int
+(** Evaluations left: this runner's budget minus its evaluations,
+    capped by the parent's remaining budget for a runner created on a
+    {!child} problem. *)
+
+val child : t -> Problem.t
+(** [child t] is [t]'s problem bound to [t] as parent: a runner created
+    on it (e.g. by a search algorithm) forwards every evaluation it
+    records to [t] — on the submitting domain, in submission order —
+    and stops at whichever budget runs out first.  Pool workers of the
+    child runner evaluate only the base objective, so the parent's
+    bookkeeping is never touched concurrently.  This is how a
+    meta-search ({!Portfolio}) charges inner runs to one global
+    budget. *)
 
 val total_cost : t -> float
 (** Sum of all evaluated costs so far — the total simulated runtime a

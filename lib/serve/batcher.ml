@@ -8,8 +8,7 @@ type t = {
   m : Mutex.t;
   done_ : Condition.t;
   in_flight : (string, slot) Hashtbl.t;
-      (** key: "<generation>/<instance>" (full rank) or
-          "<generation>/<instance>#<k>" (top-k) *)
+      (** key: "<generation>/<instance>#<k>" *)
   encoders : (string, cached_encoder) Hashtbl.t;  (** key: "<mode>/<instance>" *)
   encoder_cache : int;
   mutable tick : int;  (** LRU clock *)
@@ -90,9 +89,9 @@ let take_scratch t =
     t.arena_misses <- t.arena_misses + 1;
     Sorl.Autotuner.scratch ()
 
-(* Leader/follower coalescing shared by [rank] and [rank_top]: the
-   first arrival under [key] computes (outside the lock), everyone
-   else waits on the condition variable and shares the result. *)
+(* Leader/follower coalescing: the first arrival under [key] computes
+   (outside the lock), everyone else waits on the condition variable
+   and shares the result. *)
 let coalesce t ~key ~compute =
   Mutex.lock t.m;
   match Hashtbl.find_opt t.in_flight key with
@@ -125,16 +124,6 @@ let coalesce t ~key ~compute =
     Condition.broadcast t.done_;
     Mutex.unlock t.m;
     (match outcome with Ok r -> (r, false) | Error e -> raise e)
-
-let rank t ~generation ~tuner ~inst candidates =
-  let key = string_of_int generation ^ "/" ^ Instance.name inst in
-  coalesce t ~key ~compute:(fun () ->
-      Mutex.lock t.m;
-      let enc = get_encoder t (Sorl.Autotuner.feature_mode tuner) inst in
-      Mutex.unlock t.m;
-      match Sorl.Autotuner.rank_compiled tuner enc candidates with
-      | r -> Ok r
-      | exception e -> Error e)
 
 let rank_top t ?incumbents ~generation ~tuner ~inst ~k () =
   (* [k] is part of the key: a top-1 and a top-10 for the same

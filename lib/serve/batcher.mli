@@ -1,11 +1,10 @@
 (** Request coalescing for concurrent rank queries.
 
-    Ranking is deterministic given (model generation, instance,
-    candidate set), so when several connections ask to rank the same
+    Ranking is deterministic given (model generation, instance, k), so
+    when several connections ask for the same top-k of the same
     benchmark at the same time there is no point running the scoring
     pass once per connection: the first arrival (the {e leader}) runs
-    one pass through the compiled fast path
-    ({!Sorl.Autotuner.rank_compiled}) while the rest ({e followers})
+    one {!Sorl.Autotuner.top_k_pruned} while the rest ({e followers})
     block on a condition variable and receive the {e same} result
     array.  Results are keyed by model generation, so a hot reload
     mid-flight can never leak a stale ranking to a request that arrived
@@ -24,21 +23,6 @@ val create : ?encoder_cache:int -> unit -> t
 (** [encoder_cache] (default 32) bounds the compiled-encoder LRU.
     Raises [Invalid_argument] when < 1. *)
 
-val rank :
-  t ->
-  generation:int ->
-  tuner:Sorl.Autotuner.t ->
-  inst:Sorl_stencil.Instance.t ->
-  Sorl_stencil.Tuning.t array ->
-  Sorl_stencil.Tuning.t array * bool
-(** Rank [candidates] for [inst] under the model of [generation].
-    Returns the best-first array — bit-identical to
-    [Sorl.Autotuner.rank tuner inst candidates] — and whether this call
-    was coalesced onto another in-flight computation ([true] =
-    follower; the array is then physically shared with the leader's).
-    Exceptions from the scoring pass are re-raised in every coalesced
-    caller. *)
-
 val rank_top :
   t ->
   ?incumbents:Sorl_stencil.Tuning.t array ->
@@ -48,15 +32,18 @@ val rank_top :
   k:int ->
   unit ->
   Sorl_stencil.Tuning.t array * bool
-(** Top-k of the predefined-set rank for [inst] — element for element
-    the first [k] of what {!rank} over [Tuning.predefined_set] returns
-    — via branch-and-bound pruning ({!Sorl.Autotuner.top_k_pruned})
-    with working memory drawn from a per-batcher scratch arena, so a
-    cold request allocates O(k + subcubes) instead of O(n).  Coalesced
-    like {!rank}, keyed by (generation, instance, k); [incumbents]
-    (warm-start pruning bounds, see {!Sorl.Autotuner.top_k_pruned})
-    never changes the result, so it is deliberately not part of the
-    key.  Prune and arena counters land in {!stats}. *)
+(** The first [k] of the predefined-set rank for [inst] under the
+    model of [generation] — element for element what
+    {!Sorl.Autotuner.top_k_pruned} returns, which picks its engine from
+    [k] — with working memory drawn from a per-batcher scratch arena,
+    so a cold pruned request allocates O(k + subcubes) instead of O(n).
+    Returns whether this call was coalesced onto another in-flight
+    computation ([true] = follower; the array is then physically shared
+    with the leader's).  Coalescing is keyed by (generation, instance,
+    k); [incumbents] (warm-start pruning bounds) never changes the
+    result, so it is deliberately not part of the key.  Exceptions
+    from the scoring pass are re-raised in every coalesced caller.
+    Prune and arena counters land in {!stats}. *)
 
 type stats = {
   leaders : int;  (** rank calls that ran a scoring pass *)
@@ -67,7 +54,7 @@ type stats = {
   arena_misses : int;  (** top-k scratches freshly allocated *)
   cubes_pruned : int;  (** block subcubes skipped by bound, summed *)
   cands_pruned : int;  (** candidates never encoded or scored, summed *)
-  cands_scored : int;  (** candidates scored on the top-k path, summed *)
+  cands_scored : int;  (** candidates scored, summed *)
 }
 
 val stats : t -> stats

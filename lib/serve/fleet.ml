@@ -32,7 +32,7 @@ let field k v = k ^ "=" ^ v
 let sep = '\x1f'
 
 let encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?cache_capacity
-    ?max_connections ?warm ?topk ?obs_log ?obs_roll ?obs_fsync ?canary_fraction source =
+    ?max_connections ?warm ?obs_log ?obs_roll ?obs_fsync ?canary_fraction source =
   let opt k to_s v = Option.map (fun v -> field k (to_s v)) v in
   let fields =
     [
@@ -52,7 +52,6 @@ let encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?cache_capacit
       opt "cache" string_of_int cache_capacity;
       opt "maxconns" string_of_int max_connections;
       opt "warm" string_of_bool warm;
-      opt "topk" string_of_bool topk;
       opt "obs" Fun.id obs_log;
       opt "obsroll" string_of_int obs_roll;
       opt "obsfsync" string_of_bool obs_fsync;
@@ -110,7 +109,6 @@ let maybe_shard_main () =
          ?cache_capacity:(opt_of "cache" int_of_string_opt "cache")
          ?max_connections:(opt_of "maxconns" int_of_string_opt "maxconns")
          ?warm:(opt_of "warm" bool_of_string_opt "warm")
-         ?topk:(opt_of "topk" bool_of_string_opt "topk")
          ?obs_log:(get "obs")
          ?obs_roll:(opt_of "obsroll" int_of_string_opt "obsroll")
          ?obs_fsync:(opt_of "obsfsync" bool_of_string_opt "obsfsync")
@@ -207,7 +205,7 @@ let wait_ready ~deadline sh =
   go ()
 
 let start ~dir ~shards:n ?(workers = 1) ?queue_capacity ?conn_timeout_s ?cache_capacity
-    ?max_connections ?warm ?topk ?obs_dir ?obs_roll ?obs_fsync ?canary_fraction
+    ?max_connections ?warm ?obs_dir ?obs_roll ?obs_fsync ?canary_fraction
     ?(ready_timeout_s = 10.) source =
   if n < 1 then Error "Fleet.start: shards must be >= 1"
   else begin
@@ -222,7 +220,7 @@ let start ~dir ~shards:n ?(workers = 1) ?queue_capacity ?conn_timeout_s ?cache_c
       in
       let spec =
         encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?cache_capacity
-          ?max_connections ?warm ?topk ?obs_log ?obs_roll ?obs_fsync ?canary_fraction
+          ?max_connections ?warm ?obs_log ?obs_roll ?obs_fsync ?canary_fraction
           source
       in
       { address; pid = spawn_shard spec; reaped = false }

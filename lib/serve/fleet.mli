@@ -46,7 +46,6 @@ val start :
   ?cache_capacity:int ->
   ?max_connections:int ->
   ?warm:bool ->
-  ?topk:bool ->
   ?obs_dir:string ->
   ?obs_roll:int ->
   ?obs_fsync:bool ->

@@ -31,10 +31,7 @@ let env_capacity () =
     | Some n when n >= 0 -> Some n
     | _ -> None
   in
-  match Sys.getenv_opt "SORL_SERVE_CACHE" with
-  | Some v -> parse v
-  | None -> (
-    match Sys.getenv_opt "Sorl_SERVE_CACHE" with Some v -> parse v | None -> None)
+  Option.bind (Sys.getenv_opt "SORL_SERVE_CACHE") parse
 
 let create ?capacity () =
   let capacity =

@@ -66,7 +66,6 @@ type t = {
       (** benchmark -> (agree, disagree) over the server's lifetime *)
   batcher : Batcher.t;
   cache : Result_cache.t;
-  topk : bool;  (** serve rank/tune through pruned top-k selection *)
   neighbors : neighbors option;  (** near-miss reuse, [None] = disabled *)
   warm_on_reload : bool;
   workers : int;
@@ -236,31 +235,11 @@ let nn_insert t snapshot inst ranked =
 
 (* ---- rank / tune ---- *)
 
-(* Shared body of rank and tune: one batched scoring pass over the
-   paper's pre-defined configuration set of the named benchmark, on the
-   snapshot the caller pinned. *)
-let ranked_for t snapshot benchmark =
-  match Sorl_stencil.Benchmarks.instance_by_name benchmark with
-  | exception Not_found ->
-    Result.Error
-      (err Protocol.No_benchmark (Printf.sprintf "unknown benchmark %S" benchmark))
-  | inst -> (
-    let candidates = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
-    match
-      Batcher.rank t.batcher ~generation:snapshot.generation ~tuner:snapshot.tuner ~inst
-        candidates
-    with
-    | exception e -> Result.Error (err Protocol.Internal (Printexc.to_string e))
-    | ranked, _follower ->
-      nn_insert t snapshot inst ranked;
-      Ok ranked)
-
-(* Cold-path variant: only the first [k] of that rank, through pruned
-   top-k selection — same elements, most of the grid never scored.
-   [total] still reports the full set size (known without ranking), so
-   replies are byte-identical to the full-sort path's.  [incumbents]
-   (a neighbor's winners) tightens the pruning bound without changing
-   the result. *)
+(* Shared body of rank and tune: the first [k] of the rank of the
+   named benchmark's predefined set, on the snapshot the caller pinned,
+   through the batcher's one coalesced top-k entry.  [total] is the
+   full set size (known without ranking).  [incumbents] (a neighbor's
+   winners) tightens the pruning bound without changing the result. *)
 let top_ranked_for ?incumbents t snapshot benchmark ~k =
   match Sorl_stencil.Benchmarks.instance_by_name benchmark with
   | exception Not_found ->
@@ -286,24 +265,14 @@ let ranked_response ~benchmark ~top ~total ranked =
     }
 
 let handle_rank ?incumbents t snapshot ~benchmark ~top =
-  if t.topk then
-    match top_ranked_for ?incumbents t snapshot benchmark ~k:top with
-    | Error e -> e
-    | Ok (ranked, total) -> ranked_response ~benchmark ~top ~total ranked
-  else
-    match ranked_for t snapshot benchmark with
-    | Error e -> e
-    | Ok ranked -> ranked_response ~benchmark ~top ~total:(Array.length ranked) ranked
+  match top_ranked_for ?incumbents t snapshot benchmark ~k:top with
+  | Error e -> e
+  | Ok (ranked, total) -> ranked_response ~benchmark ~top ~total ranked
 
 let handle_tune ?incumbents t snapshot ~benchmark =
-  if t.topk then
-    match top_ranked_for ?incumbents t snapshot benchmark ~k:1 with
-    | Error e -> e
-    | Ok (ranked, _total) -> Protocol.Tuned { benchmark; tuning = ranked.(0); approx = false }
-  else
-    match ranked_for t snapshot benchmark with
-    | Error e -> e
-    | Ok ranked -> Protocol.Tuned { benchmark; tuning = ranked.(0); approx = false }
+  match top_ranked_for ?incumbents t snapshot benchmark ~k:1 with
+  | Error e -> e
+  | Ok (ranked, _total) -> Protocol.Tuned { benchmark; tuning = ranked.(0); approx = false }
 
 let handle_info t =
   let l = Atomic.get t.current in
@@ -449,9 +418,9 @@ let warm_cache t =
     List.iter
       (fun inst ->
         let benchmark = Instance.name inst in
-        match ranked_for t snapshot benchmark with
+        match top_ranked_for t snapshot benchmark ~k:(List.fold_left max 1 warm_tops) with
         | Error _ -> ()
-        | Ok ranked ->
+        | Ok (ranked, total) ->
           let put verb response =
             Result_cache.put t.cache
               (Result_cache.key ~generation:snapshot.generation ~verb ~benchmark)
@@ -463,7 +432,7 @@ let warm_cache t =
             (fun top ->
               put
                 ("rank:" ^ string_of_int top)
-                (ranked_response ~benchmark ~top ~total:(Array.length ranked) ranked))
+                (ranked_response ~benchmark ~top ~total ranked))
             warm_tops)
       Benchmarks.instances
   end
@@ -829,7 +798,7 @@ let default_neighbor_threshold = 0.002
 
 let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity = 64)
     ?(conn_timeout_s = 10.) ?cache_capacity ?(max_connections = 512) ?(warm = true)
-    ?(topk = true) ?(neighbors = 512) ?(neighbor_threshold = default_neighbor_threshold)
+    ?(neighbors = 512) ?(neighbor_threshold = default_neighbor_threshold)
     ?obs_log ?obs_roll ?obs_fsync ?(canary_fraction = 1.)
     ?(holdout = Sorl_learn.Trainer.default_holdout)
     ?(holdout_seed = Sorl_learn.Trainer.default_seed) source =
@@ -906,7 +875,6 @@ let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity 
             canary_bm = Hashtbl.create 32;
             batcher = Batcher.create ();
             cache = Result_cache.create ?capacity:cache_capacity ();
-            topk;
             neighbors = neighbor_state;
             warm_on_reload = warm;
             workers;

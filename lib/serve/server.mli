@@ -135,7 +135,6 @@ val start :
   ?cache_capacity:int ->
   ?max_connections:int ->
   ?warm:bool ->
-  ?topk:bool ->
   ?neighbors:int ->
   ?neighbor_threshold:float ->
   ?obs_log:string ->
@@ -151,17 +150,10 @@ val start :
     [unix:sorl.sock], [Sorl_util.Pool.default_domains ()] workers,
     queue capacity 64 batches, 10 s idle/write timeout, cache capacity
     from [SORL_SERVE_CACHE] (else 1024; 0 disables), 512 connections,
-    [warm] true, [topk] true, [neighbors] 512,
+    [warm] true, [neighbors] 512,
     [neighbor_threshold] {!default_neighbor_threshold}.
     [Tcp (host, 0)] binds an ephemeral port — read the real one back
     from {!address}.
-
-    [topk] selects the cold-path implementation of rank/tune: pruned
-    top-k selection over the predefined grid
-    ({!Batcher.rank_top}) instead of a full encode-and-sort.  Replies
-    are byte-identical either way (the fast path is an exact partial
-    selection and [total] is the known grid size); the flag exists as
-    a kill switch and for before/after benchmarking.
 
     [neighbors] caps the near-miss index's entry count (LRU beyond
     it); 0 disables the layer entirely, making [rank!]/[tune!]

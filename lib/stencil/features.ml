@@ -104,8 +104,8 @@ let tctx mode inst =
   }
 
 (* Instance-only entries, shared by every tuning vector of one
-   instance; [encoder] precomputes them so ranking thousands of
-   candidates re-derives only the tuning-dependent part. *)
+   instance; [compile] and [encoder_entries] precompute them so ranking
+   thousands of candidates re-derives only the tuning-dependent part. *)
 let instance_entries inst =
   let k = Instance.kernel inst in
   let s = Instance.size inst in
@@ -165,7 +165,7 @@ let[@inline always] f_count x = clamp01 (lg2i (max 1 x) /. 24.)
 let[@inline always] count_bin x = clamp_int (log2_bin_i (max 1 x) 0 24 / 2) 0 (count_bins - 1)
 
 (* Single source of truth for the tuning-dependent entries: every
-   encoding path (entry lists, compiled fast path, CSR batches) writes
+   encoding path (the seed entry lists and the compiled encoder) writes
    through this function, so all paths produce the same floats by
    construction.  Entries land at strictly increasing indices — all
    above the instance block — with zeros skipped.  Direct array writes
@@ -280,24 +280,16 @@ let encoder_entries mode inst =
     Sorl_util.Telemetry.incr encoded_counter;
     base @ tuning_entries mode inst t
 
-let encoder mode inst =
-  let entries = encoder_entries mode inst in
-  let d = dim mode in
-  fun t -> Sorl_util.Sparse.of_list ~dim:d (entries t)
-
-let encode mode inst t = (encoder mode inst) t
-let encode_dense mode inst t = Sorl_util.Sparse.to_dense (encode mode inst t)
-
 (* ---- Compiled per-instance encoder (zero-allocation fast path) ---- *)
 
 (* The instance-dependent entries are materialized once into flat
    sorted arrays; encoding a tuning vector then blits them and appends
-   the tuning-dependent entries, which [iter_tuning_entries] emits in
+   the tuning-dependent entries, which [write_tuning_entries] emits in
    strictly increasing index order above them.  The result slice
    therefore satisfies the [Sparse.of_sorted] invariant directly — no
    hashing, sorting or per-candidate list in sight — and holds exactly
    the entries (same floats, same canonical order) that
-   [encode mode inst t] stores. *)
+   [Sparse.of_list] builds from the seed [encoder_entries] list. *)
 type compiled = {
   c_mode : mode;
   c_dim : int;
@@ -340,28 +332,16 @@ let encode_into c t idx v =
     invalid_arg "Features.encode_into: scratch smaller than max_nnz";
   encode_at c t idx v 0
 
-let encode_compiled c t =
-  let idx = Array.make c.c_max_nnz 0 and v = Array.make c.c_max_nnz 0. in
-  let n = encode_into c t idx v in
-  Sorl_util.Sparse.of_sorted ~dim:c.c_dim (Array.sub idx 0 n) (Array.sub v 0 n)
-
-(* Batch encoding into one CSR block: flat index/value arrays filled
-   through the compiled encoder, then shrunk once to the exact size.
-   Row [i] holds precisely the entries of [encode mode inst ts.(i)]. *)
-let encode_csr c tunings =
-  Sorl_util.Telemetry.span "features/encode_csr" (fun () ->
-      let rows = Array.length tunings in
-      let cap = rows * c.c_max_nnz in
-      let idx = Array.make (max cap 1) 0 and v = Array.make (max cap 1) 0. in
-      let offs = Array.make (rows + 1) 0 in
-      let n = ref 0 in
-      Array.iteri
-        (fun r t ->
-          n := encode_at c t idx v !n;
-          offs.(r + 1) <- !n)
-        tunings;
-      Sorl_util.Sparse.Csr.create ~dim:c.c_dim ~offs ~idx:(Array.sub idx 0 !n)
-        ~v:(Array.sub v 0 !n))
+(* The per-instance encoder as a sparse vector: one [encode_into] into
+   fresh scratch per call (so the closure is reentrant), then the
+   checked [of_sorted] build.  [encode mode inst] partially applied
+   compiles once and serves every tuning of that instance. *)
+let encode mode inst =
+  let c = compile mode inst in
+  fun t ->
+    let idx = Array.make c.c_max_nnz 0 and v = Array.make c.c_max_nnz 0. in
+    let n = encode_into c t idx v in
+    Sorl_util.Sparse.of_sorted ~dim:c.c_dim (Array.sub idx 0 n) (Array.sub v 0 n)
 
 (* ---- Score lower bounds over tuning subcubes (branch & bound) ----
 

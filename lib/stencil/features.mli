@@ -41,24 +41,15 @@ type mode = Canonical | Extended
 val dim : mode -> int
 (** Feature-space dimension (353 canonical, 480 extended). *)
 
-val encode : mode -> Instance.t -> Tuning.t -> Sorl_util.Sparse.t
-(** Feature vector of one stencil execution; all values in [\[0,1\]]. *)
-
-val encode_dense : mode -> Instance.t -> Tuning.t -> float array
-
-val encoder : mode -> Instance.t -> Tuning.t -> Sorl_util.Sparse.t
-(** [encoder mode inst] precomputes the instance-dependent entries and
-    returns a closure encoding tuning vectors of that instance — use it
-    when ranking many candidates for one instance. *)
-
 val encoder_entries : mode -> Instance.t -> Tuning.t -> (int * float) list
-(** Like {!encoder} but returns the raw (index, value) entry list the
-    sparse vector is built from (possibly with duplicate indices, which
-    sum).  Feed it to {!Sorl_svmrank.Model.entry_scorer} to score
-    candidates without materializing a vector per candidate.  Prefer
-    the {!compiled} fast path below — this list-based variant is kept
-    as the reference implementation and for the throughput bench's
-    before/after comparison. *)
+(** The seed reference encoder: [encoder_entries mode inst] returns a
+    closure producing the raw (index, value) entry list of a tuning
+    (possibly with duplicate indices, which sum).  With
+    {!Sorl_svmrank.Model.entry_scorer} and
+    {!Sorl_svmrank.Model.sort_by_score} it is the oracle the ranking
+    parity tests and the rank-throughput bench's seed row compare the
+    compiled path against; production code encodes through
+    {!compile}. *)
 
 (** {1 Compiled fast path}
 
@@ -69,8 +60,10 @@ val encoder_entries : mode -> Instance.t -> Tuning.t -> (int * float) list
     index order above the instance block, so the filled prefix directly
     satisfies the sorted-unique-nonzero invariant of
     {!Sorl_util.Sparse.of_sorted}).  Entry values are computed by the
-    same functions as {!encode}, so every fast-path encoding is
-    bit-identical to its [encode] counterpart. *)
+    same functions as {!encoder_entries}, so every compiled encoding is
+    bit-identical to the seed entry list it replaces.  This is the one
+    production encoder: ranking, training and the encoded-feature
+    caches all go through it. *)
 
 type compiled
 (** Per-instance compiled encoder. *)
@@ -96,16 +89,12 @@ val encode_at : compiled -> Tuning.t -> int array -> float array -> int -> int
     guarantees {!max_nnz} cells of headroom above [pos]).  Each packed
     row is scored with {!Sorl_svmrank.Model.range_scorer}. *)
 
-val encode_compiled : compiled -> Tuning.t -> Sorl_util.Sparse.t
-(** Convenience wrapper materializing one {!encode_into} result;
-    bit-identical to [encode mode inst t]. *)
-
-val encode_csr : compiled -> Tuning.t array -> Sorl_util.Sparse.Csr.t
-(** [encode_csr c ts] encodes a whole candidate batch into one CSR
-    block (one flat index array, one flat value array, row offsets) —
-    the batch format {!Sorl_svmrank.Model.score_csr} and the solvers
-    consume.  Row [i] holds exactly the entries of
-    [encode mode inst ts.(i)] (bit-identical values). *)
+val encode : mode -> Instance.t -> Tuning.t -> Sorl_util.Sparse.t
+(** [encode mode inst] compiles the instance once and returns the
+    per-instance encoder: each call materializes one {!encode_into}
+    result as a sparse vector (all values in [\[0,1\]]).  The closure
+    is reentrant.  Bit-identical to [Sparse.of_list] over
+    {!encoder_entries}. *)
 
 (** {1 Score lower bounds over tuning subcubes}
 

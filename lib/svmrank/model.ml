@@ -31,54 +31,14 @@ let entry_scorer t =
     !acc
 
 (* Scores the [lo, hi) range of a strictly-increasing (idx, v) scratch
-   pair against w.  The sum runs in increasing index order — the same
-   float additions as [dot_dense] on the equivalent sparse vector and
-   as [entry_scorer] on the equivalent entry list — so all scoring
-   paths are bit-identical.  The loop is unrolled 4-wide but keeps a
-   single accumulator chain: the additions stay sequential (float
-   addition is not associative, so parallel partial sums would change
-   results); the unroll only amortizes the loop-control overhead.
-   Bounds on idx/v are validated up front, so the body can use unsafe
-   loads on them; w is indexed through idx contents and stays checked.
+   pair through the one dot kernel ([Sparse.dot_range]): the same float
+   additions, in the same increasing-index order, as [dot_dense] on the
+   equivalent sparse vector and as [entry_scorer] on the equivalent
+   entry list, so all scoring paths are bit-identical.
    Allocation-free. *)
 let range_scorer t =
   let w = t.w in
-  fun idx v lo hi ->
-    if lo < 0 || hi < lo || hi > Array.length idx || hi > Array.length v then
-      invalid_arg "Model.range_scorer: range out of bounds";
-    let acc = ref 0. in
-    let k = ref lo in
-    while !k + 4 <= hi do
-      let k0 = !k in
-      acc := !acc +. (Array.unsafe_get v k0 *. w.(Array.unsafe_get idx k0));
-      acc := !acc +. (Array.unsafe_get v (k0 + 1) *. w.(Array.unsafe_get idx (k0 + 1)));
-      acc := !acc +. (Array.unsafe_get v (k0 + 2) *. w.(Array.unsafe_get idx (k0 + 2)));
-      acc := !acc +. (Array.unsafe_get v (k0 + 3) *. w.(Array.unsafe_get idx (k0 + 3)));
-      k := k0 + 4
-    done;
-    while !k < hi do
-      acc := !acc +. (Array.unsafe_get v !k *. w.(Array.unsafe_get idx !k));
-      incr k
-    done;
-    !acc
-
-(* Scores a strictly-increasing (idx, v) prefix of length n: the
-   [0, n) range of [range_scorer]. *)
-let slice_scorer t =
-  let range = range_scorer t in
-  fun idx v n -> range idx v 0 n
-
-let score_csr t csr =
-  if Sorl_util.Sparse.Csr.dim csr <> Array.length t.w then
-    invalid_arg "Model.score_csr: dimension mismatch";
-  Sorl_util.Sparse.Csr.dot_rows csr t.w
-
-let score_csr_into t csr out =
-  if Sorl_util.Sparse.Csr.dim csr <> Array.length t.w then
-    invalid_arg "Model.score_csr_into: dimension mismatch";
-  Sorl_util.Sparse.Csr.dot_rows_into csr t.w out
-
-let score_batch t candidates = Sorl_util.Pool.parallel_map (score t) candidates
+  fun idx v lo hi -> Sorl_util.Sparse.dot_range idx v lo hi w
 
 let sort_by_score (scores : float array) =
   let idx = Array.init (Array.length scores) (fun i -> i) in
@@ -122,12 +82,6 @@ let top_k ?k (scores : float array) =
     done;
     Sorl_util.Topk.contents h
   end
-
-let rank t candidates = sort_by_score (score_batch t candidates)
-
-let best t candidates =
-  if Array.length candidates = 0 then invalid_arg "Model.best: no candidates";
-  (rank t candidates).(0)
 
 (* Only nonzero weights are written, so a reader cannot infer the
    expected line count from [dim] alone: the [nnz] header and the [end]

@@ -6,9 +6,7 @@ let env_domains () =
     | Some n when n >= 1 -> Some (min n max_domains)
     | _ -> None
   in
-  match Sys.getenv_opt "Sorl_POOL_DOMAINS" with
-  | Some v -> parse v
-  | None -> ( match Sys.getenv_opt "SORL_POOL_DOMAINS" with Some v -> parse v | None -> None)
+  Option.bind (Sys.getenv_opt "SORL_POOL_DOMAINS") parse
 
 (* [with_domains] override; read/written from the main domain only. *)
 let override = ref None

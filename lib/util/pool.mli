@@ -8,8 +8,8 @@
     callers that are otherwise deterministic stay bit-identical whether
     they run serial or parallel.
 
-    The pool size defaults to the [Sorl_POOL_DOMAINS] environment
-    variable (also accepted as [SORL_POOL_DOMAINS]) and falls back to
+    The pool size defaults to the [SORL_POOL_DOMAINS] environment
+    variable and falls back to
     [Domain.recommended_domain_count ()].  At size 1 everything runs in
     the calling domain with no spawns.  Nested parallel calls from
     inside a worker run serially instead of spawning another level of
@@ -17,7 +17,20 @@
 
     If a chunk raises, all chunks are still joined and the exception of
     the lowest-indexed failing chunk is re-raised with its original
-    backtrace. *)
+    backtrace.
+
+    {b Closure rule.}  A function passed to any [parallel_*] entry
+    point runs on several domains at once, so no unsynchronised
+    mutable state may be reachable from it: no [ref], [mutable] field,
+    [Hashtbl], [Buffer] or other structure that another chunk, or the
+    submitting domain, also writes.  In particular no runner state is
+    reachable from a pool closure: a search evaluates points in workers
+    through the base objective only ({!Sorl_search.Problem.objective})
+    and does all budget, best-so-far and duplicate bookkeeping on the
+    submitting domain, in submission order, after the join.  Writing
+    to disjoint, preallocated slots of a result array ([a.(i)] for the
+    chunk's own [i]) and per-chunk scratch allocated inside the
+    closure are fine; so are atomics and mutex-guarded state. *)
 
 val default_domains : unit -> int
 (** Current pool size: {!with_domains} override, else the environment

@@ -87,11 +87,35 @@ let dot a b =
   done;
   !acc
 
+(* The one sparse-dense dot kernel: the [lo, hi) range of an (idx, v)
+   pair against dense [w].  The loop is unrolled 4-wide but keeps a
+   single accumulator chain: float addition is not associative, so
+   partial sums would change results; one chain makes the unrolled loop
+   bit-identical to the plain increasing-index sum while amortizing
+   loop control.  The range is validated up front, so idx/v use unsafe
+   loads; [w] is indexed through idx contents and stays checked. *)
+let dot_range idx v lo hi w =
+  if lo < 0 || hi < lo || hi > Array.length idx || hi > Array.length v then
+    invalid_arg "Sparse.dot_range: range out of bounds";
+  let acc = ref 0. in
+  let k = ref lo in
+  while !k + 4 <= hi do
+    let k0 = !k in
+    acc := !acc +. (Array.unsafe_get v k0 *. w.(Array.unsafe_get idx k0));
+    acc := !acc +. (Array.unsafe_get v (k0 + 1) *. w.(Array.unsafe_get idx (k0 + 1)));
+    acc := !acc +. (Array.unsafe_get v (k0 + 2) *. w.(Array.unsafe_get idx (k0 + 2)));
+    acc := !acc +. (Array.unsafe_get v (k0 + 3) *. w.(Array.unsafe_get idx (k0 + 3)));
+    k := k0 + 4
+  done;
+  while !k < hi do
+    acc := !acc +. (Array.unsafe_get v !k *. w.(Array.unsafe_get idx !k));
+    incr k
+  done;
+  !acc
+
 let dot_dense t d =
   if Array.length d < t.dim then invalid_arg "Sparse.dot_dense: dense side too short";
-  let acc = ref 0. in
-  Array.iteri (fun k i -> acc := !acc +. (t.v.(k) *. d.(i))) t.idx;
-  !acc
+  dot_range t.idx t.v 0 (Array.length t.idx) d
 
 let axpy_dense a t d =
   if Array.length d < t.dim then invalid_arg "Sparse.axpy_dense: dense side too short";
@@ -176,30 +200,7 @@ type sparse = t
    exact float operations of its [Sparse.t] counterpart — batch callers
    get bit-identical results with zero per-row allocation. *)
 module Csr = struct
-  type t = { dim : int; offs : int array; idx : int array; v : float array }
-
-  let create ~dim ~offs ~idx ~v =
-    let nnz = Array.length idx in
-    if Array.length v <> nnz then invalid_arg "Csr.create: idx/v length mismatch";
-    let nrows = Array.length offs - 1 in
-    if nrows < 0 then invalid_arg "Csr.create: offs must have >= 1 entry";
-    if offs.(0) <> 0 || offs.(nrows) <> nnz then
-      invalid_arg "Csr.create: offsets must span the entry arrays";
-    for r = 0 to nrows - 1 do
-      if offs.(r) > offs.(r + 1) then invalid_arg "Csr.create: offsets must be nondecreasing";
-      for k = offs.(r) to offs.(r + 1) - 1 do
-        if idx.(k) < 0 || idx.(k) >= dim then invalid_arg "Csr.create: index out of range";
-        if k > offs.(r) && idx.(k) <= idx.(k - 1) then
-          invalid_arg "Csr.create: row indices not strictly increasing";
-        if v.(k) = 0. then invalid_arg "Csr.create: explicit zero entry"
-      done
-    done;
-    { dim; offs; idx; v }
-
-  let dim t = t.dim
-  let rows t = Array.length t.offs - 1
-  let nnz t = t.offs.(rows t)
-  let row_nnz t r = t.offs.(r + 1) - t.offs.(r)
+  type t = { offs : int array; idx : int array; v : float array }
 
   let of_rows ~dim rs =
     let n = Array.length rs in
@@ -216,50 +217,9 @@ module Csr = struct
         Array.blit s.idx 0 idx offs.(r) (Array.length s.idx);
         Array.blit s.v 0 v offs.(r) (Array.length s.v))
       rs;
-    { dim; offs; idx; v }
+    { offs; idx; v }
 
-  let row t r =
-    let lo = t.offs.(r) and hi = t.offs.(r + 1) in
-    { dim = t.dim; idx = Array.sub t.idx lo (hi - lo); v = Array.sub t.v lo (hi - lo) }
-
-  (* 4-wide unroll with a single sequential accumulator chain: float
-     addition is not associative, so partial sums would change results;
-     keeping one chain makes the unrolled loop bit-identical to the
-     plain one while amortizing loop control.  [create] validated the
-     entry arrays, so idx/v use unsafe loads; [w] is indexed through
-     row contents and stays bounds-checked (dot_rows_into validates the
-     dense side once, but dot_row is also a public per-row entry
-     point). *)
-  let dot_row t r w =
-    let lo = t.offs.(r) and hi = t.offs.(r + 1) in
-    let idx = t.idx and v = t.v in
-    let acc = ref 0. in
-    let k = ref lo in
-    while !k + 4 <= hi do
-      let k0 = !k in
-      acc := !acc +. (Array.unsafe_get v k0 *. w.(Array.unsafe_get idx k0));
-      acc := !acc +. (Array.unsafe_get v (k0 + 1) *. w.(Array.unsafe_get idx (k0 + 1)));
-      acc := !acc +. (Array.unsafe_get v (k0 + 2) *. w.(Array.unsafe_get idx (k0 + 2)));
-      acc := !acc +. (Array.unsafe_get v (k0 + 3) *. w.(Array.unsafe_get idx (k0 + 3)));
-      k := k0 + 4
-    done;
-    while !k < hi do
-      acc := !acc +. (Array.unsafe_get v !k *. w.(Array.unsafe_get idx !k));
-      incr k
-    done;
-    !acc
-
-  let dot_rows_into t w out =
-    if Array.length w < t.dim then invalid_arg "Csr.dot_rows_into: dense side too short";
-    if Array.length out < rows t then invalid_arg "Csr.dot_rows_into: output too short";
-    for r = 0 to rows t - 1 do
-      out.(r) <- dot_row t r w
-    done
-
-  let dot_rows t w =
-    let out = Array.make (rows t) 0. in
-    dot_rows_into t w out;
-    out
+  let dot_row t r w = dot_range t.idx t.v t.offs.(r) t.offs.(r + 1) w
 
   let axpy_row a t r y =
     for k = t.offs.(r) to t.offs.(r + 1) - 1 do

@@ -44,6 +44,15 @@ val iteri : (int -> float -> unit) -> t -> unit
 val dot : t -> t -> float
 (** Sparse-sparse inner product. *)
 
+val dot_range : int array -> float array -> int -> int -> float array -> float
+(** [dot_range idx v lo hi w] is the inner product of the [\[lo, hi)]
+    range of an index/value pair with dense [w], summed in increasing
+    position order (one sequential accumulator, 4-wide unrolled).  It
+    is the one sparse-dense dot kernel: {!dot_dense}, {!Csr.dot_row}
+    and [Model.range_scorer] all call it, so every scoring path
+    performs the same float operations.  Allocation-free; raises
+    [Invalid_argument] when the range exceeds [idx] or [v]. *)
+
 val dot_dense : t -> float array -> float
 (** Sparse-dense inner product.  The dense side must have dimension at
     least {!dim}. *)
@@ -79,44 +88,22 @@ type sparse = t
     operations of their single-vector counterparts ({!dot_dense},
     {!axpy_dense}, {!norm2}) — batch callers stay bit-identical to the
     vector-at-a-time path while touching only flat arrays, with no
-    per-row allocation.  This is the storage format of
-    [Features.encode_csr] batches and of the solvers' training pairs. *)
+    per-row allocation.  This is the storage format of the solvers'
+    training pairs. *)
 module Csr : sig
   type t
-
-  val create : dim:int -> offs:int array -> idx:int array -> v:float array -> t
-  (** [create ~dim ~offs ~idx ~v] wraps row [r]'s entries at
-      [\[offs.(r), offs.(r+1))] of [idx]/[v].  The invariant (offsets
-      spanning the arrays and nondecreasing; per-row indices strictly
-      increasing inside [\[0, dim)]; no zero values) is checked in
-      O(nnz).  The arrays are {e not} copied — callers must not mutate
-      them afterwards. *)
 
   val of_rows : dim:int -> sparse array -> t
   (** Concatenate sparse vectors into one CSR batch (one copy, done
       once — e.g. at [fit] time so solver epochs run on flat arrays). *)
 
-  val dim : t -> int
-  val rows : t -> int
-  val nnz : t -> int
-  val row_nnz : t -> int -> int
-
-  val row : t -> int -> sparse
-  (** Copy row [r] back out as a standalone sparse vector. *)
-
   val dot_row : t -> int -> float array -> float
-  (** [dot_row t r w] = [dot_dense (row t r) w], allocation-free. *)
-
-  val dot_rows_into : t -> float array -> float array -> unit
-  (** Score every row against [w] into a caller-provided output
-      (length >= {!rows}); allocation-free. *)
-
-  val dot_rows : t -> float array -> float array
-  (** [dot_rows t w].(r) = [dot_row t r w]; allocates the result only. *)
+  (** [dot_row t r w] is {!dot_dense} of row [r] against [w]: the
+      {!dot_range} of the row's entries, allocation-free. *)
 
   val axpy_row : float -> t -> int -> float array -> unit
   (** [axpy_row a t r y] performs [y <- y + a·row_r], allocation-free. *)
 
   val norm2_row : t -> int -> float
-  (** Squared L2 norm of row [r] = [norm2 (row t r)], allocation-free. *)
+  (** Squared L2 norm of row [r] ({!norm2} of the row), allocation-free. *)
 end

@@ -69,10 +69,10 @@ let trained_tuner =
 let test_autotuner_rank_is_permutation () =
   let tuner = Lazy.force trained_tuner in
   let inst = List.nth tiny_instances 1 in
-  let rng = Sorl_util.Rng.create 9 in
-  let candidates = Array.init 50 (fun _ -> Tuning.random rng ~dims:3) in
-  let ranked = Sorl.Autotuner.rank tuner inst candidates in
-  checki "same size" 50 (Array.length ranked);
+  let candidates = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
+  let n = Array.length candidates in
+  let ranked = Sorl.Autotuner.top_k tuner inst ~k:n in
+  checki "same size" n (Array.length ranked);
   let sort a = List.sort Tuning.compare (Array.to_list a) in
   checkb "permutation" true (sort candidates = sort ranked);
   (* scores ascend along the ranking *)

@@ -1,7 +1,8 @@
-(* Tests for the zero-allocation ranking fast path: compiled encoders
-   and CSR batches must be bit-identical to the entry-list paths they
-   replace, the measurement memo must be invisible except for the hit
-   counter, and the timer must discard its warm-up call. *)
+(* Tests for the zero-allocation ranking fast path: the compiled
+   encoder and the one dot kernel must be bit-identical to the seed
+   entry-list path they replace, the measurement memo must be invisible
+   except for the hit counter, and the timer must discard its warm-up
+   call. *)
 
 open Sorl_stencil
 module Sparse = Sorl_util.Sparse
@@ -35,6 +36,10 @@ let dummy_model dim =
 let sparse_of_prefix dim idx v n =
   Sparse.of_list ~dim (List.init n (fun k -> (idx.(k), v.(k))))
 
+(* The seed reference encoding: the entry list summed by [of_list]. *)
+let seed_encode mode inst t =
+  Sparse.of_list ~dim:(Features.dim mode) (Features.encoder_entries mode inst t)
+
 (* ---- compiled encoder vs the entry-list path ---- *)
 
 let qcheck_encode_into_parity =
@@ -57,50 +62,44 @@ let qcheck_encode_into_parity =
                  && n <= Features.max_nnz c
                  && Sparse.equal ~eps:0.
                       (sparse_of_prefix (Features.compiled_dim c) idx v n)
-                      (Features.encode mode inst t))
+                      (seed_encode mode inst t)
+                 && Sparse.equal ~eps:0. (Features.encode mode inst t) (seed_encode mode inst t))
                [ inst3; inst2 ])
            modes))
 
-let qcheck_encode_csr_parity =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:60 ~name:"encode_csr rows bit-identical to encode"
-       QCheck2.Gen.(array_size (return 13) gen_tuning3)
-       (fun ts ->
-         List.for_all
-           (fun mode ->
-             let c = Features.compile mode inst3 in
-             let csr = Features.encode_csr c ts in
-             Sparse.Csr.rows csr = Array.length ts
-             && Array.for_all Fun.id
-                  (Array.mapi
-                     (fun i t ->
-                       Sparse.equal ~eps:0. (Sparse.Csr.row csr i)
-                         (Features.encode mode inst3 t))
-                     ts))
-           modes))
+(* ---- the one dot kernel vs the sparse-vector scorer ---- *)
 
-(* ---- CSR / slice scoring vs the sparse-vector scorer ---- *)
-
+(* Rows packed back to back with [encode_at] (odd offsets exercise the
+   kernel's 4-wide unroll at every alignment), scored in place by the
+   range scorer, must reproduce the seed scorer bit for bit; so must
+   the CSR row kernel the solvers use. *)
 let qcheck_score_parity =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:60 ~name:"score_csr and slice_scorer match score"
+    (QCheck2.Test.make ~count:60 ~name:"range_scorer and Csr.dot_row match score"
        QCheck2.Gen.(array_size (return 11) gen_tuning3)
        (fun ts ->
          List.for_all
            (fun mode ->
              let c = Features.compile mode inst3 in
              let m = dummy_model (Features.compiled_dim c) in
-             let csr = Features.encode_csr c ts in
-             let batch = Model.score_csr m csr in
-             let slice = Model.slice_scorer m in
-             let idx = Array.make (Features.max_nnz c) 0 in
-             let v = Array.make (Features.max_nnz c) 0. in
+             let w = Model.weights m in
+             let score = Model.range_scorer m in
+             let seed = Model.entry_scorer m in
+             let cap = (Array.length ts * Features.max_nnz c) + 1 in
+             let idx = Array.make cap 0 and v = Array.make cap 0. in
+             let offs = Array.make (Array.length ts + 1) 1 in
+             Array.iteri (fun i t -> offs.(i + 1) <- Features.encode_at c t idx v offs.(i)) ts;
+             let csr =
+               Sparse.Csr.of_rows ~dim:(Features.compiled_dim c)
+                 (Array.map (Features.encode mode inst3) ts)
+             in
              Array.for_all Fun.id
                (Array.mapi
                   (fun i t ->
-                    let reference = Model.score m (Features.encode mode inst3 t) in
-                    let n = Features.encode_into c t idx v in
-                    batch.(i) = reference && slice idx v n = reference)
+                    let reference = seed (Features.encoder_entries mode inst3 t) in
+                    score idx v offs.(i) offs.(i + 1) = reference
+                    && Sparse.Csr.dot_row csr i w = reference
+                    && Model.score m (Features.encode mode inst3 t) = reference)
                   ts))
            modes))
 
@@ -118,13 +117,13 @@ let test_rank_matches_seed_path () =
   let tuner = Lazy.force trained in
   let model = Sorl.Autotuner.model tuner in
   let candidates = Tuning.predefined_set ~dims:3 in
-  let fast = Sorl.Autotuner.rank tuner inst3 candidates in
-  (* Seed path: one sparse encoding and score per candidate, then the
-     same score sort.  The streamed compiled path must reproduce it
-     bit for bit, tie-breaks included. *)
-  let scores =
-    Array.map (fun t -> Model.score model (Features.encode Features.Extended inst3 t)) candidates
-  in
+  let fast = Sorl.Autotuner.top_k tuner inst3 ~k:(Array.length candidates) in
+  (* Seed path: one entry list and score per candidate, then the same
+     score sort.  The streamed compiled path must reproduce it bit for
+     bit, tie-breaks included. *)
+  let entries = Features.encoder_entries Features.Extended inst3 in
+  let seed_score = Model.entry_scorer model in
+  let scores = Array.map (fun t -> seed_score (entries t)) candidates in
   let order = Model.sort_by_score scores in
   let seed = Array.map (fun i -> candidates.(i)) order in
   checkb "fast ranking identical to per-candidate path" true (fast = seed)
@@ -171,17 +170,17 @@ let test_cache_lru_eviction () =
 
 let test_cache_env_override () =
   Fun.protect
-    ~finally:(fun () -> Unix.putenv "Sorl_MEASURE_CACHE" "")
+    ~finally:(fun () -> Unix.putenv "SORL_MEASURE_CACHE" "")
     (fun () ->
-      Unix.putenv "Sorl_MEASURE_CACHE" "5";
+      Unix.putenv "SORL_MEASURE_CACHE" "5";
       checki "env capacity" 5 (Measure.cache_capacity (Measure.model machine));
-      Unix.putenv "Sorl_MEASURE_CACHE" "0";
+      Unix.putenv "SORL_MEASURE_CACHE" "0";
       let m = Measure.model machine in
       checki "env 0 disables" 0 (Measure.cache_capacity m);
       ignore (Measure.runtime m inst3 (tn 0));
       ignore (Measure.runtime m inst3 (tn 0));
       checki "disabled via env: no hits" 0 (Measure.cache_hits m);
-      Unix.putenv "Sorl_MEASURE_CACHE" "not-a-number";
+      Unix.putenv "SORL_MEASURE_CACHE" "not-a-number";
       checki "unparsable env falls back to default" 8192
         (Measure.cache_capacity (Measure.model machine)));
   checki "empty env restores default" 8192 (Measure.cache_capacity (Measure.model machine))
@@ -197,7 +196,6 @@ let test_timer_warmup_discarded () =
 let suite =
   [
     qcheck_encode_into_parity;
-    qcheck_encode_csr_parity;
     qcheck_score_parity;
     Alcotest.test_case "rank matches seed path" `Quick test_rank_matches_seed_path;
     Alcotest.test_case "measure cache hits and identity" `Quick test_cache_hits_and_identity;

@@ -160,8 +160,7 @@ let test_router_matches_direct () =
   let tuner = Lazy.force Test_serve.tuner_a in
   let inst = Benchmarks.instance_by_name benchmark in
   let direct =
-    Sorl.Autotuner.rank tuner inst
-      (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)))
+    Test_serve.full_rank tuner inst
   in
   Test_serve.with_temp_dir @@ fun dir ->
   with_fleet_2 dir @@ fun router shards ->
@@ -227,8 +226,7 @@ let test_router_failover_dead_shard () =
   let tuner = Lazy.force Test_serve.tuner_a in
   let inst = Benchmarks.instance_by_name benchmark in
   let best =
-    (Sorl.Autotuner.rank tuner inst
-       (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)))).(0)
+    (Test_serve.full_rank tuner inst).(0)
   in
   Test_serve.with_temp_dir @@ fun dir ->
   let store = store_with_models dir in
@@ -265,9 +263,8 @@ let test_router_failover_dead_shard () =
 let test_router_rolling_reload_under_load () =
   let a = Lazy.force Test_serve.tuner_a and b = Lazy.force Test_serve.tuner_b in
   let inst = Benchmarks.instance_by_name benchmark in
-  let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
   let top = 3 in
-  let top_of t = Array.to_list (Array.sub (Sorl.Autotuner.rank t inst set) 0 top) in
+  let top_of t = Array.to_list (Array.sub (Test_serve.full_rank t inst) 0 top) in
   let from_a = top_of a and from_b = top_of b in
   Test_serve.with_temp_dir @@ fun dir ->
   with_fleet_2 dir @@ fun router _shards ->

@@ -142,8 +142,8 @@ let trained =
 let test_rank_parity () =
   let tuner = Lazy.force trained in
   let inst = List.nth tiny_instances 1 in
-  let candidates = Tuning.predefined_set ~dims:3 in
-  let at d = Pool.with_domains d (fun () -> Sorl.Autotuner.rank tuner inst candidates) in
+  let n = Tuning.predefined_size ~dims:3 in
+  let at d = Pool.with_domains d (fun () -> Sorl.Autotuner.top_k tuner inst ~k:n) in
   let serial = at 1 in
   List.iter
     (fun d -> checkb (Printf.sprintf "ranking identical at %d domains" d) true (serial = at d))
@@ -204,21 +204,28 @@ let test_search_parity () =
         [ 2; 4 ])
     Sorl_search.Registry.paper_baselines
 
-let test_encode_csr_matches_encode () =
-  let inst = List.nth tiny_instances 1 in
-  let rng = Sorl_util.Rng.create 9 in
-  let tunings = Array.init 40 (fun _ -> Tuning.random rng ~dims:3) in
+(* Portfolio charges every inner evaluation to one global runner.  The
+   inner GA/ES/DE runs evaluate batches in pool workers, so the global
+   bookkeeping must happen on the submitting domain only: outcome and
+   winner identical at every pool size. *)
+let test_portfolio_parity () =
+  let problem =
+    Sorl_search.Problem.create
+      ~bounds:[| (2, 1024); (2, 1024); (0, 8) |]
+      ~eval:(fun p ->
+        let d0 = float_of_int (p.(0) - 300) and d1 = float_of_int (p.(1) - 300) in
+        let d2 = float_of_int (p.(2) - 4) in
+        (d0 *. d0) +. (d1 *. d1) +. (100. *. d2 *. d2))
+  in
+  let at d = Pool.with_domains d (fun () -> Sorl_search.Portfolio.run ~seed:3 ~budget:512 problem) in
+  let serial, winner = at 1 in
+  checki "budget spent exactly" 512 serial.Sorl_search.Runner.evaluations;
   List.iter
-    (fun mode ->
-      let csr = Features.encode_csr (Features.compile mode inst) tunings in
-      Array.iteri
-        (fun i t ->
-          checkb "CSR row bit-identical" true
-            (Sorl_util.Sparse.equal ~eps:0.
-               (Sorl_util.Sparse.Csr.row csr i)
-               (Features.encode mode inst t)))
-        tunings)
-    [ Features.Canonical; Features.Extended ]
+    (fun d ->
+      let o, w = at d in
+      checkb (Printf.sprintf "winner identical at %d domains" d) true (String.equal w winner);
+      checkb (Printf.sprintf "outcome identical at %d domains" d) true (o = serial))
+    [ 2; 4 ]
 
 let test_bqueue_close_idempotent () =
   (* the reactor closes the worker queue during shutdown and so may a
@@ -250,7 +257,7 @@ let suite =
     Alcotest.test_case "held-out taus parity" `Quick test_taus_parity;
     Alcotest.test_case "eval taus parity" `Quick test_eval_taus_parity;
     Alcotest.test_case "search outcome parity" `Quick test_search_parity;
-    Alcotest.test_case "encode_csr matches encode" `Quick test_encode_csr_matches_encode;
+    Alcotest.test_case "portfolio identical across pool sizes" `Quick test_portfolio_parity;
     Alcotest.test_case "bqueue close is idempotent and drainable" `Quick
       test_bqueue_close_idempotent;
   ]

@@ -1,7 +1,7 @@
 (* Tests for the serving subsystem: wire protocol round-trips, the
    versioned model store, request coalescing, and the socket server
-   end-to-end — served rankings must be bit-identical to in-process
-   Autotuner.rank, including under concurrent clients and across a
+   end-to-end — served rankings must be bit-identical to an in-process
+   full rank (Autotuner.top_k at k = n), including under concurrent clients and across a
    mid-load hot reload. *)
 
 open Sorl_stencil
@@ -26,6 +26,11 @@ let train seed =
   let spec = { Sorl.Training.size = 200; mode = Features.Extended; seed } in
   Sorl.Autotuner.train_on ~mode:Features.Extended
     (Sorl.Training.generate ~spec ~instances:tiny_instances (measure ()))
+
+(* The in-process full rank of an instance's predefined set. *)
+let full_rank tuner inst =
+  Sorl.Autotuner.top_k tuner inst
+    ~k:(Tuning.predefined_size ~dims:(Kernel.dims (Instance.kernel inst)))
 
 let tuner_a = lazy (train 5)
 let tuner_b = lazy (train 7)
@@ -250,9 +255,8 @@ let test_store_names () =
 let test_batcher_coalesces () =
   let tuner = Lazy.force tuner_a in
   let inst = List.nth tiny_instances 3 in
-  let rng = Sorl_util.Rng.create 11 in
-  let candidates = Array.init 80 (fun _ -> Tuning.random rng ~dims:2) in
-  let direct = Sorl.Autotuner.rank tuner inst candidates in
+  let k = Tuning.predefined_size ~dims:(Kernel.dims (Instance.kernel inst)) in
+  let direct = Sorl.Autotuner.top_k tuner inst ~k in
   let b = Batcher.create () in
   let calls_per_domain = 5 and domains = 4 in
   let results = Array.make (domains * calls_per_domain) [||] in
@@ -260,9 +264,7 @@ let test_batcher_coalesces () =
     List.init domains (fun d ->
         Domain.spawn (fun () ->
             for j = 0 to calls_per_domain - 1 do
-              let r, _follower =
-                Batcher.rank b ~generation:0 ~tuner ~inst candidates
-              in
+              let r, _follower = Batcher.rank_top b ~generation:0 ~tuner ~inst ~k () in
               results.((d * calls_per_domain) + j) <- r
             done))
   in
@@ -274,7 +276,7 @@ let test_batcher_coalesces () =
   checkb "leaders ran" true (s.Batcher.leaders >= 1);
   checkb "encoder cache reused" true (s.Batcher.encoder_hits >= 1);
   (* a new generation must not share in-flight results across keys *)
-  let r1, f1 = Batcher.rank b ~generation:1 ~tuner ~inst candidates in
+  let r1, f1 = Batcher.rank_top b ~generation:1 ~tuner ~inst ~k () in
   checkb "fresh generation ranks fine" true (r1 = direct && not f1)
 
 (* ---- result cache ---- *)
@@ -378,12 +380,12 @@ let test_connect_backoff () =
 (* ---- server end-to-end ---- *)
 
 let start_server ?(workers = 2) ?(queue_capacity = 16) ?(conn_timeout_s = 10.)
-    ?cache_capacity ?max_connections ?warm ?topk ?neighbors ?neighbor_threshold ?obs_log
+    ?cache_capacity ?max_connections ?warm ?neighbors ?neighbor_threshold ?obs_log
     ?canary_fraction dir source =
   let address = Protocol.Unix_path (Filename.concat dir "test.sock") in
   get
     (Server.start ~address ~workers ~queue_capacity ~conn_timeout_s ?cache_capacity
-       ?max_connections ?warm ?topk ?neighbors ?neighbor_threshold ?obs_log
+       ?max_connections ?warm ?neighbors ?neighbor_threshold ?obs_log
        ?canary_fraction source)
 
 (* A raw socket speaking the wire protocol directly — for tests that
@@ -413,8 +415,7 @@ let test_server_matches_direct_rank () =
   let tuner = Lazy.force tuner_a in
   let inst = Benchmarks.instance_by_name benchmark in
   let direct =
-    Sorl.Autotuner.rank tuner inst
-      (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)))
+    full_rank tuner inst
   in
   let top = 5 in
   let expected = Array.to_list (Array.sub direct 0 top) in
@@ -449,8 +450,7 @@ let test_server_tune_info_stats () =
   let server = start_server dir (file_source dir tuner) in
   let inst = Benchmarks.instance_by_name benchmark in
   let direct_best =
-    (Sorl.Autotuner.rank tuner inst
-       (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)))).(0)
+    (full_rank tuner inst).(0)
   in
   get
     (Client.with_connection (Server.address server) (fun c ->
@@ -566,8 +566,7 @@ let test_client_pipeline_in_order () =
   let tuner = Lazy.force tuner_a in
   let inst = Benchmarks.instance_by_name benchmark in
   let direct =
-    Sorl.Autotuner.rank tuner inst
-      (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)))
+    full_rank tuner inst
   in
   let top2 = Array.to_list (Array.sub direct 0 2) in
   with_temp_dir @@ fun dir ->
@@ -689,24 +688,26 @@ let test_server_sheds_excess_connections () =
 
 let test_server_busy_backpressure () =
   with_temp_dir @@ fun dir ->
-  (* [topk:false]: this test needs the worker pinned for ~2 s by the
-     full-sort scoring pass; the pruned top-k path finishes the train
-     before the queue ever fills. *)
   let server =
-    start_server ~workers:1 ~queue_capacity:1 ~cache_capacity:0 ~warm:false ~topk:false
-      dir
+    start_server ~workers:1 ~queue_capacity:1 ~cache_capacity:0 ~warm:false dir
       (file_source dir (Lazy.force tuner_a))
   in
   (* The single uncached worker chews through a long pipelined train
-     from c1 (one batch, one worker, ~2 s of scoring on the heaviest
-     benchmark); c2's request then sits in the 1-slot queue, and c3's
-     must be shed with an explicit busy reply. *)
-  let train = 300 and heavy = "gradient-256x256x256" in
-  let (_, ic1, oc1) as c1 = raw_connect server in
-  for _ = 1 to train do
-    output_string oc1 ("sorl1 rank " ^ heavy ^ " 1\n")
-  done;
-  flush oc1;
+     of pruned top-1 requests from c1 — one batch, one worker.  At
+     about 1.2 ms per served request on the heaviest benchmark (2-core
+     x86 host), 3000 requests keep it busy for about 3.5 s — a 2 s
+     floor takes about 1700 — so c2's request
+     sits in the 1-slot queue and c3's must be shed with an explicit
+     busy reply.  The train goes out in one write so the reactor reads
+     it as one batch. *)
+  let train = 3000 and heavy = "gradient-256x256x256" in
+  let (fd1, ic1, _) as c1 = raw_connect server in
+  let lines = String.concat "" (List.init train (fun _ -> "sorl1 rank " ^ heavy ^ " 1\n")) in
+  let rec write_all off =
+    if off < String.length lines then
+      write_all (off + Unix.write_substring fd1 lines off (String.length lines - off))
+  in
+  write_all 0;
   Unix.sleepf 0.3;
   let (_, ic2, oc2) as c2 = raw_connect server in
   output_string oc2 "sorl1 info\n";
@@ -744,9 +745,8 @@ let test_server_busy_backpressure () =
 let test_server_hot_reload_under_load () =
   let a = Lazy.force tuner_a and b = Lazy.force tuner_b in
   let inst = Benchmarks.instance_by_name benchmark in
-  let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
   let top = 3 in
-  let top_of tuner = Array.to_list (Array.sub (Sorl.Autotuner.rank tuner inst set) 0 top) in
+  let top_of tuner = Array.to_list (Array.sub (full_rank tuner inst) 0 top) in
   let from_a = top_of a and from_b = top_of b in
   with_temp_dir @@ fun dir ->
   let store = get (Model_store.open_dir (Filename.concat dir "store")) in
@@ -794,8 +794,7 @@ let test_server_reload_errors_keep_old_model () =
   let a = Lazy.force tuner_a in
   let inst = Benchmarks.instance_by_name benchmark in
   let direct_best =
-    (Sorl.Autotuner.rank a inst
-       (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)))).(0)
+    (full_rank a inst).(0)
   in
   with_temp_dir @@ fun dir ->
   let store = get (Model_store.open_dir (Filename.concat dir "store")) in
@@ -911,7 +910,7 @@ let test_server_canary_cycle_zero_torn_replies () =
          {
            benchmark;
            total = Array.length set;
-           tunings = Array.to_list (Array.sub (Sorl.Autotuner.rank tuner inst set) 0 top);
+           tunings = Array.to_list (Array.sub (full_rank tuner inst) 0 top);
            approx = false;
          })
   in
@@ -965,7 +964,7 @@ let test_server_canary_cycle_zero_torn_replies () =
       for _ = 1 to 4 do
         let r = get (Client.rank c ~benchmark ~top) in
         checkb "candidate serving after promote" true
-          (r = Array.to_list (Array.sub (Sorl.Autotuner.rank candidate inst set) 0 top))
+          (r = Array.to_list (Array.sub (full_rank candidate inst) 0 top))
       done;
       let stats = get (Client.stats c) in
       let v k = List.assoc k stats in
@@ -1008,7 +1007,7 @@ let test_server_canary_cycle_zero_torn_replies () =
       (* and the wire keeps serving the promoted candidate *)
       let r = get (Client.rank c ~benchmark ~top) in
       checkb "candidate still serving" true
-        (r = Array.to_list (Array.sub (Sorl.Autotuner.rank candidate inst set) 0 top));
+        (r = Array.to_list (Array.sub (full_rank candidate inst) 0 top));
       Ok ());
   shutdown_server server
 
@@ -1026,8 +1025,7 @@ let test_server_provisional_then_exact () =
     let inst = Benchmarks.instance_by_name name in
     Array.to_list
       (Array.sub
-         (Sorl.Autotuner.rank tuner inst
-            (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst))))
+         (full_rank tuner inst)
          0 top)
   in
   with_temp_dir @@ fun dir ->

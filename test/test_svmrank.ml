@@ -203,11 +203,14 @@ let test_untrainable_dataset_rejected () =
 let test_model_rank_stable () =
   let model = Model.create [| 1.; 0. |] in
   let c v = Sparse.of_dense v in
-  let order = Model.rank model [| c [| 3.; 0. |]; c [| 1.; 0. |]; c [| 2.; 0. |] |] in
-  Alcotest.(check (array int)) "ascending score" [| 1; 2; 0 |] order;
-  checki "best" 1 (Model.best model [| c [| 3.; 0. |]; c [| 1.; 0. |]; c [| 2.; 0. |] |]);
-  Alcotest.check_raises "empty" (Invalid_argument "Model.best: no candidates") (fun () ->
-      ignore (Model.best model [||]))
+  let scores =
+    Array.map (Model.score model)
+      [| c [| 3.; 0. |]; c [| 1.; 0. |]; c [| 2.; 0. |]; c [| 1.; 5. |] |]
+  in
+  Alcotest.(check (array int)) "ascending score, ties by index" [| 1; 3; 2; 0 |]
+    (Model.sort_by_score scores);
+  Alcotest.(check (array int)) "best" [| 1 |] (Model.top_k ~k:1 scores);
+  Alcotest.(check (array int)) "empty" [||] (Model.top_k ~k:1 [||])
 
 let test_model_serialization () =
   let model = Model.create [| 0.5; 0.; -1.25 |] in

@@ -309,8 +309,7 @@ let traced_pipeline () =
   let spec = { Sorl.Training.size = 480; mode = Sorl_stencil.Features.Canonical; seed = 11 } in
   let tuner = Sorl.Autotuner.train ~spec measure in
   let inst = Sorl_stencil.Benchmarks.instance_by_name "gradient-256x256x256" in
-  let candidates = Array.sub (Sorl_stencil.Tuning.predefined_set ~dims:3) 0 200 in
-  ignore (Sorl.Autotuner.rank tuner inst candidates);
+  ignore (Sorl.Autotuner.top_k tuner inst ~k:(Sorl_stencil.Tuning.predefined_size ~dims:3));
   (T.aggregated (), T.counters ())
 
 let test_deterministic_trace () =

@@ -1,8 +1,9 @@
-(* Parity suite for the cold-path ranking fast paths: bounded top-k
-   selection must equal the first k elements of the full sort, and
-   branch-and-bound pruning over the predefined grid must reproduce the
-   exhaustive rank exactly — for adversarial (random) weight vectors,
-   across feature modes and pool sizes.  Random weights are the hard
+(* Parity suite for the one ranking entry: bounded top-k selection must
+   equal the first k elements of the full sort, and both engines of
+   [Autotuner.top_k_pruned] — branch-and-bound pruning for 2k < n,
+   score-everything-and-sort otherwise — must reproduce the seed
+   oracle's rank exactly — for adversarial (random) weight vectors,
+   across feature modes, pool sizes and k on both sides of n/2.  Random weights are the hard
    case for bound soundness: unlike trained models they put large
    positive and negative mass on every bin, so any unsound endpoint
    choice in the bounder shows up as a pruned cube that held a true
@@ -74,14 +75,30 @@ let random_tuner rng mode =
   let w = Array.init d (fun _ -> (Sorl_util.Rng.uniform rng *. 4.) -. 2.) in
   Sorl.Autotuner.of_model ~mode (Model.create w)
 
-let pruned_equals_exhaustive ?scratch tuner inst ~k =
+(* The seed oracle: one entry list per candidate, the dense-scratch
+   entry scorer and the stable score sort over the whole predefined
+   set — no compiled encoder, range scorer or pruning involved. *)
+let seed_rank tuner inst =
+  let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
+  let entries = Features.encoder_entries (Sorl.Autotuner.feature_mode tuner) inst in
+  let score = Model.entry_scorer (Sorl.Autotuner.model tuner) in
+  Array.map (fun i -> set.(i)) (Model.sort_by_score (Array.map (fun t -> score (entries t)) set))
+
+(* k on both sides of the engine switch: 1, 3 and n/2 - 1 take the
+   branch-and-bound engine, n/2 and n the full sort. *)
+let engine_ks inst =
+  let n = Tuning.predefined_size ~dims:(Kernel.dims (Instance.kernel inst)) in
+  [ 1; 3; (n / 2) - 1; n / 2; n ]
+
+let pruned_equals_exhaustive ?scratch ?oracle tuner inst ~k =
   let dims = Kernel.dims (Instance.kernel inst) in
-  let full = Sorl.Autotuner.rank tuner inst (Tuning.predefined_set ~dims) in
+  let full = match oracle with Some o -> o | None -> seed_rank tuner inst in
   let enc = Features.compile (Sorl.Autotuner.feature_mode tuner) inst in
   let got, stats = Sorl.Autotuner.top_k_pruned ?scratch tuner enc ~dims ~k in
   let expected = Array.sub full 0 (min k (Array.length full)) in
   if got <> expected then
-    Alcotest.failf "pruned top-%d diverges on %s: got %s, want %s" k (Instance.name inst)
+    Alcotest.failf "top-%d diverges from the seed rank on %s: got %s, want %s" k
+      (Instance.name inst)
       (String.concat ";" (Array.to_list (Array.map Tuning.to_string got)))
       (String.concat ";" (Array.to_list (Array.map Tuning.to_string expected)));
   stats
@@ -89,13 +106,17 @@ let pruned_equals_exhaustive ?scratch tuner inst ~k =
 let test_pruned_parity_random_models () =
   let rng = Sorl_util.Rng.create 77 in
   let scratch = Sorl.Autotuner.scratch () in
-  (* 6 random extended models x 3 instances x k in {1, 3, 10}; the
-     shared scratch also proves reuse across models and instances. *)
+  (* 6 random extended models x 3 instances x k in {1, 3, 10} plus
+     both sides of the engine switch; the shared scratch also proves
+     reuse across models and instances. *)
   for _ = 1 to 6 do
     let tuner = random_tuner rng Features.Extended in
     List.iter
       (fun inst ->
-        List.iter (fun k -> ignore (pruned_equals_exhaustive ~scratch tuner inst ~k)) [ 1; 3; 10 ])
+        let oracle = seed_rank tuner inst in
+        List.iter
+          (fun k -> ignore (pruned_equals_exhaustive ~scratch ~oracle tuner inst ~k))
+          (10 :: engine_ks inst))
       instances
   done
 
@@ -103,20 +124,33 @@ let test_pruned_parity_canonical () =
   let rng = Sorl_util.Rng.create 78 in
   for _ = 1 to 3 do
     let tuner = random_tuner rng Features.Canonical in
-    List.iter (fun inst -> ignore (pruned_equals_exhaustive tuner inst ~k:5)) instances
+    List.iter
+      (fun inst ->
+        let oracle = seed_rank tuner inst in
+        List.iter
+          (fun k -> ignore (pruned_equals_exhaustive ~oracle tuner inst ~k))
+          (5 :: engine_ks inst))
+      instances
   done
 
 let test_pruned_parity_across_pool_sizes () =
-  (* The exhaustive side chunks over the pool; the pruned side is
-     serial.  Equality at pool sizes 1/2/4 pins both that ranking is
-     pool-size-invariant and that pruning matches it everywhere. *)
+  (* The full engine chunks over the pool; the pruned engine is
+     serial.  Equality with the serial seed oracle at pool sizes 1/2/4
+     pins both engines everywhere. *)
   let rng = Sorl_util.Rng.create 79 in
   let tuner = random_tuner rng Features.Extended in
   List.iter
-    (fun d ->
-      Sorl_util.Pool.with_domains d (fun () ->
-          List.iter (fun inst -> ignore (pruned_equals_exhaustive tuner inst ~k:3)) instances))
-    [ 1; 2; 4 ]
+    (fun inst ->
+      let oracle = seed_rank tuner inst in
+      let n = Tuning.predefined_size ~dims:(Kernel.dims (Instance.kernel inst)) in
+      List.iter
+        (fun d ->
+          Sorl_util.Pool.with_domains d (fun () ->
+              List.iter
+                (fun k -> ignore (pruned_equals_exhaustive ~oracle tuner inst ~k))
+                [ 3; n ]))
+        [ 1; 2; 4 ])
+    instances
 
 let test_pruned_stats_accounting () =
   let rng = Sorl_util.Rng.create 80 in
@@ -130,18 +164,21 @@ let test_pruned_stats_accounting () =
     ((s.Sorl.Autotuner.scored + s.Sorl.Autotuner.pruned) * 1);
   checkb "scored + pruned partition the set" true (s.Sorl.Autotuner.scored + s.Sorl.Autotuner.pruned = total);
   checkb "cube accounting" true
-    (s.Sorl.Autotuner.cubes_pruned <= s.Sorl.Autotuner.cubes && s.Sorl.Autotuner.scored >= 1)
+    (s.Sorl.Autotuner.cubes_pruned <= s.Sorl.Autotuner.cubes && s.Sorl.Autotuner.scored >= 1);
+  let _, f = Sorl.Autotuner.top_k_pruned tuner enc ~dims ~k:(total / 2) in
+  checkb "full engine scores everything" true
+    (f.Sorl.Autotuner.scored = total && f.Sorl.Autotuner.pruned = 0
+    && f.Sorl.Autotuner.cubes_pruned = 0 && f.Sorl.Autotuner.cubes = s.Sorl.Autotuner.cubes)
 
 let test_tune_equals_full_rank_head () =
   let rng = Sorl_util.Rng.create 81 in
   let tuner = random_tuner rng Features.Extended in
   List.iter
     (fun inst ->
-      let dims = Kernel.dims (Instance.kernel inst) in
-      let full = Sorl.Autotuner.rank tuner inst (Tuning.predefined_set ~dims) in
+      let full = seed_rank tuner inst in
       checkb "tune = rank head" true (Tuning.equal (Sorl.Autotuner.tune tuner inst) full.(0));
-      checkb "best = rank head" true
-        (Tuning.equal (Sorl.Autotuner.best tuner inst (Tuning.predefined_set ~dims)) full.(0)))
+      checkb "top_k 1 = rank head" true
+        (Sorl.Autotuner.top_k tuner inst ~k:1 = [| full.(0) |]))
     instances
 
 let test_predefined_axes_consistent () =
