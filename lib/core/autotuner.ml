@@ -4,7 +4,12 @@ type solver =
   | Sgd of Sorl_svmrank.Solver_sgd.params
   | Dcd of Sorl_svmrank.Solver_dcd.params
 
-type t = { model : Sorl_svmrank.Model.t; mode : Features.mode }
+(* [w] is the model's dense weight vector, copied once per tuner:
+   ranking reads it on every call, and a per-call copy (480 floats) is
+   too big for the minor heap. *)
+type t = { model : Sorl_svmrank.Model.t; mode : Features.mode; w : float array }
+
+let make ~mode model = { model; mode; w = Sorl_svmrank.Model.weights model }
 
 let default_solver = Sgd Sorl_svmrank.Solver_sgd.default_params
 
@@ -17,7 +22,7 @@ let fit ?init solver ds =
 let train_on ?(solver = default_solver) ?init ~mode ds =
   if Sorl_svmrank.Dataset.dim ds <> Features.dim mode then
     invalid_arg "Autotuner.train_on: dataset dimension does not match feature mode";
-  { model = fit ?init solver ds; mode }
+  make ~mode (fit ?init solver ds)
 
 let train ?(spec = Training.default_spec) ?(solver = default_solver) measure =
   let ds = Training.generate ~spec measure in
@@ -26,11 +31,11 @@ let train ?(spec = Training.default_spec) ?(solver = default_solver) measure =
 let of_model ~mode model =
   if Sorl_svmrank.Model.dim model <> Features.dim mode then
     invalid_arg "Autotuner.of_model: model dimension does not match feature mode";
-  { model; mode }
+  make ~mode model
 
 let model t = t.model
 let feature_mode t = t.mode
-let weights t = Sorl_svmrank.Model.weights t.model
+let weights t = Array.copy t.w
 
 let score t inst =
   let encode = Features.encode t.mode inst in
@@ -40,50 +45,74 @@ let embed t inst = Features.embedding t.mode inst
 
 let candidates_counter = Sorl_util.Telemetry.counter "rank.candidates"
 
-(* The predefined sets, built on first use and then shared: tuning
-   records are immutable, so every full rank can return them instead
-   of rebuilding 8640 records per call.  Building them at module
-   initialization would tax every process start.  Two domains racing
-   on the first use build equal arrays; either may win. *)
-let grids = [| Atomic.make [||]; Atomic.make [||] |]
+(* The weighted score tables of [enc] over the predefined axes; the
+   first call per encoder builds the weight-free tables. *)
+let bounder t enc a =
+  Features.bounder enc ~w:t.w ~bx:a.Tuning.ax_bx ~by:a.Tuning.ax_by ~bz:a.Tuning.ax_bz
+    ~u:a.Tuning.ax_u ~c:a.Tuning.ax_c
 
-let grid ~dims =
-  let slot = grids.(if dims = 2 then 0 else 1) in
-  if Array.length (Atomic.get slot) = 0 then Atomic.set slot (Tuning.predefined_set ~dims);
-  Atomic.get slot
+(* The tuning at a flat index of [Tuning.predefined_set] (row-major
+   over bx, by, bz, u, c). *)
+let tuning_at a f =
+  let nc = Array.length a.Tuning.ax_c and nu = Array.length a.Tuning.ax_u in
+  let nbz = Array.length a.Tuning.ax_bz and nby = Array.length a.Tuning.ax_by in
+  let ic = f mod nc and f = f / nc in
+  let iu = f mod nu and f = f / nu in
+  let ibz = f mod nbz and f = f / nbz in
+  {
+    Tuning.bx = a.Tuning.ax_bx.(f / nby);
+    by = a.Tuning.ax_by.(f mod nby);
+    bz = a.Tuning.ax_bz.(ibz);
+    u = a.Tuning.ax_u.(iu);
+    c = a.Tuning.ax_c.(ic);
+  }
 
-(* The full engine: streams every candidate through the compiled
-   encoder in parallel chunks — each chunk owns one scratch pair that
-   [Features.encode_into] refills and the range scorer walks, no
-   allocation per candidate — then sorts by (score, index) and keeps
-   the first [k].  Scores are bit-identical to encode-then-score, so
-   the order is the seed ranking's at every pool size. *)
-let rank_all t enc set ~k =
+(* Its flat index (mixed radix over the axis lengths), or [None] off
+   the grid. *)
+let flat_index a (tn : Tuning.t) =
+  List.fold_left
+    (fun acc (ax, v) ->
+      match (acc, Array.find_index (( = ) v) ax) with
+      | Some f, Some i -> Some ((f * Array.length ax) + i)
+      | _ -> None)
+    (Some 0)
+    [
+      (a.Tuning.ax_bx, tn.Tuning.bx);
+      (a.Tuning.ax_by, tn.Tuning.by);
+      (a.Tuning.ax_bz, tn.Tuning.bz);
+      (a.Tuning.ax_u, tn.Tuning.u);
+      (a.Tuning.ax_c, tn.Tuning.c);
+    ]
+
+let cube_size a = Array.length a.Tuning.ax_u * Array.length a.Tuning.ax_c
+
+let cube_count a =
+  Array.length a.Tuning.ax_bx * Array.length a.Tuning.ax_by * Array.length a.Tuning.ax_bz
+
+(* The full engine: every cube scored from the tables in parallel
+   chunks (the tables are built here, before the fan-out), then a sort
+   by (score, index) keeps the first [k].  Scores are bit-identical to
+   encode-then-score, so the order is the seed ranking's at every pool
+   size. *)
+let rank_all t enc a ~k =
   Sorl_util.Telemetry.span "autotuner/rank" (fun () ->
-      let n = Array.length set in
-      Sorl_util.Telemetry.add candidates_counter n;
-      let scores = Array.make n 0. in
+      let bd = bounder t enc a in
+      let m = cube_size a in
+      let scores = Array.make (cube_count a * m) 0. in
+      Sorl_util.Telemetry.add candidates_counter (Array.length scores);
       ignore
-        (Sorl_util.Pool.parallel_chunks n (fun lo hi ->
-             let score = Sorl_svmrank.Model.range_scorer t.model in
-             let m = Features.max_nnz enc in
-             let idx = Array.make m 0 and v = Array.make m 0. in
-             for i = lo to hi - 1 do
-               let e = Features.encode_into enc set.(i) idx v in
-               scores.(i) <- score idx v 0 e
+        (Sorl_util.Pool.parallel_chunks (cube_count a) (fun lo hi ->
+             for cube = lo to hi - 1 do
+               Features.score_cube bd cube scores (cube * m)
              done));
       let order = Sorl_svmrank.Model.sort_by_score scores in
-      Array.init k (fun r -> set.(order.(r))))
+      Array.init k (fun r -> tuning_at a order.(r)))
 
 (* ---- branch-and-bound top-k over the predefined grid ---- *)
 
-type scratch = {
-  mutable sc_idx : int array;
-  mutable sc_v : float array;
-  sc_top : Sorl_util.Topk.t;
-}
+type scratch = { mutable sc_scores : float array; sc_top : Sorl_util.Topk.t }
 
-let scratch () = { sc_idx = [||]; sc_v = [||]; sc_top = Sorl_util.Topk.create ~k:0 }
+let scratch () = { sc_scores = [||]; sc_top = Sorl_util.Topk.create ~k:0 }
 
 type prune_stats = {
   cubes : int;
@@ -95,20 +124,19 @@ type prune_stats = {
 let pruned_cubes_counter = Sorl_util.Telemetry.counter "rank.pruned_subcubes"
 let pruned_cands_counter = Sorl_util.Telemetry.counter "rank.pruned_candidates"
 
-(* Top-k over the paper's predefined set without materializing or even
-   visiting most of it.  One subcube per (bx, by, bz) block triple
-   (the u and c axes stay whole, so block-coupled derived features are
-   bounded over exact block corners); cubes are visited in ascending
-   bound order, and once the heap is full and the next bound exceeds
-   the current k-th best score every remaining cube is pruned at once.
-   A cube that is not pruned is scored exhaustively through the same
-   compiled encoder + range scorer as the full rank, and candidates
-   enter the heap under their full-set flat index, so the surviving
-   top-k — order, tiebreaks and all — is exactly the first k elements
-   of the full [rank_all] over [Tuning.predefined_set ~dims].  Bounds are sound
-   by construction ({!Features.bound_lower}); a loose bound only means
-   less pruning, never a different answer. *)
-(* An incumbent set of >= k grid members gives a sound initial pruning
+(* Top-k over the paper's predefined set without visiting most of it.
+   One subcube per (bx, by, bz) block triple, each with a lower bound
+   from the score tables ({!Features.cube_bound}); cubes are visited
+   in ascending bound order, and once the heap is full and the next
+   bound exceeds the current k-th best score every remaining cube is
+   pruned at once.  A visited cube is scored whole from the same
+   tables as the full engine, and candidates enter the heap under
+   their full-set flat index, so the surviving top-k — order,
+   tiebreaks and all — is exactly the first k elements of the full
+   rank.  A loose bound only means less pruning, never a different
+   answer.
+
+   An incumbent set of >= k grid members gives a sound initial pruning
    threshold before the heap has seen anything: if b is the k-th best
    incumbent score, a cube whose lower bound exceeds b strictly cannot
    hold any of the true top k (every candidate in it scores > b, while
@@ -117,72 +145,45 @@ let pruned_cands_counter = Sorl_util.Telemetry.counter "rank.pruned_candidates"
    is the same array the incumbent-free scan produces, just with more
    cubes skipped.  Off-grid incumbents are filtered out: the argument
    above needs them to be members of the predefined set. *)
-let on_grid a (tn : Tuning.t) =
-  let has ax v = Array.exists (fun x -> x = v) ax in
-  has a.Tuning.ax_bx tn.Tuning.bx
-  && has a.Tuning.ax_by tn.Tuning.by
-  && has a.Tuning.ax_bz tn.Tuning.bz
-  && has a.Tuning.ax_u tn.Tuning.u
-  && has a.Tuning.ax_c tn.Tuning.c
-
 let prune_scan s ?incumbents t enc a ~k =
   Sorl_util.Telemetry.span "autotuner/top_k" (fun () ->
-      let nby = Array.length a.Tuning.ax_by
-      and nbz = Array.length a.Tuning.ax_bz
-      and nu = Array.length a.Tuning.ax_u
-      and nc = Array.length a.Tuning.ax_c in
-      let ncubes = Array.length a.Tuning.ax_bx * nby * nbz in
-      let cube_cands = nu * nc in
+      let ncubes = cube_count a and m = cube_size a in
       if k = 0 then
-        ([||], { cubes = ncubes; cubes_pruned = ncubes; scored = 0; pruned = ncubes * cube_cands })
+        ([||], { cubes = ncubes; cubes_pruned = ncubes; scored = 0; pruned = ncubes * m })
       else begin
-        let m = Features.max_nnz enc in
-        if Array.length s.sc_idx < m then begin
-          s.sc_idx <- Array.make m 0;
-          s.sc_v <- Array.make m 0.
-        end;
+        if Array.length s.sc_scores < m then s.sc_scores <- Array.make m 0.;
+        let buf = s.sc_scores in
         Sorl_util.Topk.reset s.sc_top ~k;
-        let bd =
-          Features.bounder enc
-            ~w:(Sorl_svmrank.Model.weights t.model)
-            ~bx:a.Tuning.ax_bx ~by:a.Tuning.ax_by ~bz:a.Tuning.ax_bz ~u:a.Tuning.ax_u
-            ~c:a.Tuning.ax_c
-        in
-        let nu1 = nu - 1 and nc1 = nc - 1 in
-        let bounds =
-          Array.init ncubes (fun cube ->
-              let ibx = cube / (nby * nbz) in
-              let r = cube mod (nby * nbz) in
-              let iby = r / nbz and ibz = r mod nbz in
-              Features.bound_lower bd ~bx:(ibx, ibx) ~by:(iby, iby) ~bz:(ibz, ibz)
-                ~u:(0, nu1) ~c:(0, nc1))
-        in
+        let bd = bounder t enc a in
+        let bounds = Array.init ncubes (Features.cube_bound bd) in
         (* Ascending bound order (ties by cube id, deterministically):
            promising cubes establish a tight k-th best score early, and
            the first prunable cube ends the scan — every cube after it
            has a bound at least as large. *)
         let order = Array.init ncubes Fun.id in
-        Array.sort
+        Array.stable_sort
           (fun x y ->
             if bounds.(x) < bounds.(y) then -1
             else if bounds.(y) < bounds.(x) then 1
             else compare (x : int) y)
           order;
-        let score = Sorl_svmrank.Model.range_scorer t.model in
         let inc_bound =
           match incumbents with
           | None -> None
           | Some incs ->
-            let valid = Array.of_seq (Seq.filter (on_grid a) (Array.to_seq incs)) in
-            if Array.length valid < k then None
+            let ss =
+              Array.of_seq
+                (Seq.filter_map
+                   (fun tn ->
+                     Option.map
+                       (fun f ->
+                         Features.score_cube bd (f / m) buf 0;
+                         buf.(f mod m))
+                       (flat_index a tn))
+                   (Array.to_seq incs))
+            in
+            if Array.length ss < k then None
             else begin
-              let ss =
-                Array.map
-                  (fun tn ->
-                    let e = Features.encode_into enc tn s.sc_idx s.sc_v in
-                    score s.sc_idx s.sc_v 0 e)
-                  valid
-              in
               Array.sort compare ss;
               Some ss.(k - 1)
             end
@@ -204,59 +205,21 @@ let prune_scan s ?incumbents t enc a ~k =
             stop := true
           end
           else begin
-            let ibx = cube / (nby * nbz) in
-            let r = cube mod (nby * nbz) in
-            let iby = r / nbz and ibz = r mod nbz in
-            let bxv = a.Tuning.ax_bx.(ibx)
-            and byv = a.Tuning.ax_by.(iby)
-            and bzv = a.Tuning.ax_bz.(ibz) in
-            let base_flat = cube * cube_cands in
-            for iu = 0 to nu1 do
-              let uv = a.Tuning.ax_u.(iu) in
-              for ic = 0 to nc1 do
-                let tn =
-                  { Tuning.bx = bxv; by = byv; bz = bzv; u = uv; c = a.Tuning.ax_c.(ic) }
-                in
-                let e = Features.encode_into enc tn s.sc_idx s.sc_v in
-                Sorl_util.Topk.push s.sc_top (score s.sc_idx s.sc_v 0 e)
-                  (base_flat + (iu * nc) + ic)
-              done
+            Features.score_cube bd cube buf 0;
+            for j = 0 to m - 1 do
+              Sorl_util.Topk.push s.sc_top buf.(j) ((cube * m) + j)
             done;
-            scored := !scored + cube_cands;
+            scored := !scored + m;
             incr ci
           end
         done;
-        let flat = Sorl_util.Topk.contents s.sc_top in
-        let result =
-          Array.map
-            (fun f ->
-              let ic = f mod nc in
-              let f = f / nc in
-              let iu = f mod nu in
-              let f = f / nu in
-              let ibz = f mod nbz in
-              let f = f / nbz in
-              let iby = f mod nby in
-              let ibx = f / nby in
-              {
-                Tuning.bx = a.Tuning.ax_bx.(ibx);
-                by = a.Tuning.ax_by.(iby);
-                bz = a.Tuning.ax_bz.(ibz);
-                u = a.Tuning.ax_u.(iu);
-                c = a.Tuning.ax_c.(ic);
-              })
-            flat
-        in
+        let result = Array.map (tuning_at a) (Sorl_util.Topk.contents s.sc_top) in
         Sorl_util.Telemetry.add candidates_counter !scored;
         Sorl_util.Telemetry.add pruned_cubes_counter !cubes_pruned;
-        Sorl_util.Telemetry.add pruned_cands_counter (!cubes_pruned * cube_cands);
+        Sorl_util.Telemetry.add pruned_cands_counter (!cubes_pruned * m);
         ( result,
-          {
-            cubes = ncubes;
-            cubes_pruned = !cubes_pruned;
-            scored = !scored;
-            pruned = !cubes_pruned * cube_cands;
-          } )
+          { cubes = ncubes; cubes_pruned = !cubes_pruned; scored = !scored; pruned = !cubes_pruned * m }
+        )
       end)
 
 (* One entry, two engines, picked from [k] alone: branch-and-bound
@@ -274,11 +237,7 @@ let top_k_pruned ?scratch:s ?incumbents t enc ~dims ~k =
   let k = min k n in
   if 2 * k < n then
     prune_scan (match s with Some s -> s | None -> scratch ()) ?incumbents t enc a ~k
-  else
-    let cubes =
-      Array.length a.Tuning.ax_bx * Array.length a.Tuning.ax_by * Array.length a.Tuning.ax_bz
-    in
-    (rank_all t enc (grid ~dims) ~k, { cubes; cubes_pruned = 0; scored = n; pruned = 0 })
+  else (rank_all t enc a ~k, { cubes = cube_count a; cubes_pruned = 0; scored = n; pruned = 0 })
 
 let top_k ?scratch ?incumbents t inst ~k =
   fst
@@ -338,7 +297,7 @@ let of_string s =
             err
               (Printf.sprintf "model dimension %d does not match %s features (%d)"
                  (Sorl_svmrank.Model.dim model) m (Features.dim mode))
-          else Ok { model; mode }))
+          else Ok (make ~mode model)))
     | _ -> err "missing \"mode <canonical|extended>\" line")
   | [ "sorl-model"; v ] ->
     err (Printf.sprintf "unsupported format version %S (this build reads v1)" v)

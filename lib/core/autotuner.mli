@@ -42,7 +42,8 @@ val feature_mode : t -> Sorl_stencil.Features.mode
 
 val weights : t -> Sorl_util.Vec.t
 (** A copy of the model's weight vector — the [?init] for a
-    warm-started {!train_on}. *)
+    warm-started {!train_on}.  (Ranking reads one dense copy made when
+    the tuner is built, never a per-call one.) *)
 
 val score : t -> Sorl_stencil.Instance.t -> Sorl_stencil.Tuning.t -> float
 (** Predicted-rank score; lower means predicted faster.  [score t inst]
@@ -64,25 +65,25 @@ val embed : t -> Sorl_stencil.Instance.t -> float array
     ascending score, ties by position in {!Sorl_stencil.Tuning.predefined_set}:
 
     - [2k < n]: branch and bound.  One score lower bound per
-      (bx, by, bz) subcube ({!Sorl_stencil.Features.bound_lower}),
+      (bx, by, bz) subcube ({!Sorl_stencil.Features.cube_bound}),
       cubes visited in ascending bound order, whole cubes skipped once
       the k-th best score beats their bound.  Bounds are sound lower
       bounds minus a float-safety epsilon, and skipping requires a
       strictly larger bound, so equal-score index tiebreaks survive.
-    - otherwise: score everything and sort.  Candidates stream through
-      the compiled encoder ({!Sorl_stencil.Features.compile}) into
-      per-chunk scratch, chunked over the {!Sorl_util.Pool}, then sort
-      by score.  Near a full rank pruning would score almost every
-      cube anyway, and this engine is the faster one there.
+    - otherwise: score everything and sort, the cubes chunked over the
+      {!Sorl_util.Pool}.  Near a full rank pruning would score almost
+      every cube anyway, and this engine is the faster one there.
 
-    Both engines score through the same compiled encoder and range
-    scorer, bit-identical to encode-and-{!score} per candidate, so the
-    order is identical for every pool size.  A full rank is
-    [top_k ~k:(Tuning.predefined_size ~dims)]. *)
+    Neither engine builds a feature vector: both score whole cubes
+    from the encoder's weight-free grid tables
+    ({!Sorl_stencil.Features.score_cube}, built on the first rank
+    through an encoder), bit-identical to encode-and-{!score} per
+    candidate, so the order is identical for every pool size.  A full
+    rank is [top_k ~k:(Tuning.predefined_size ~dims)]. *)
 
 type scratch
-(** Reusable working memory (encode scratch + selection heap) of the
-    branch-and-bound engine, so a cold small-k top-k allocates
+(** Reusable working memory (one cube's scores + selection heap) of
+    the branch-and-bound engine, so a cold small-k top-k allocates
     O(k + subcubes), not O(n).  Not thread-safe: one scratch per
     concurrent caller. *)
 
@@ -91,7 +92,7 @@ val scratch : unit -> scratch
 type prune_stats = {
   cubes : int;  (** block subcubes in the grid *)
   cubes_pruned : int;  (** subcubes skipped by their bound *)
-  scored : int;  (** candidates actually encoded and scored *)
+  scored : int;  (** candidates actually scored *)
   pruned : int;  (** candidates skipped without scoring *)
 }
 
@@ -130,7 +131,9 @@ val top_k :
   k:int ->
   Sorl_stencil.Tuning.t array
 (** {!top_k_pruned} with a freshly compiled encoder and the instance's
-    own dimensionality; just the tunings.  No execution happens. *)
+    own dimensionality; just the tunings.  No execution happens.
+    Repeated ranks of one instance should hold a compiled encoder and
+    call {!top_k_pruned}, which reuses its grid tables. *)
 
 val tune :
   ?incumbent:Sorl_stencil.Tuning.t ->

@@ -76,6 +76,8 @@ let get_encoder t mode inst =
     Hashtbl.replace t.encoders key { enc; last_used = t.tick };
     enc
 
+let encoder t mode inst = Mutex.protect t.m (fun () -> get_encoder t mode inst)
+
 (* Caller holds [t.m].  Pop a scratch from the arena or make a fresh
    one; steady state is all hits — the free list grows only while more
    workers rank cold simultaneously than ever before. *)

@@ -13,9 +13,12 @@
     The batcher also owns a small LRU of compiled per-instance encoders
     (compiling touches the full 7×7×7 pattern matrix; reusing the
     encoder is what makes repeated queries for the same benchmark
-    cheap).  Encoders are keyed by (mode, instance), independent of the
-    model generation — a reload with an unchanged feature mode keeps
-    the cache warm. *)
+    cheap).  An encoder also carries the weight-free grid tables its
+    first rank builds ({!Sorl_stencil.Features.bounder}, about 41 KB
+    for a 3-D instance), so a cached one ranks without rebuilding them.
+    Encoders are keyed by (mode, instance), independent of the model
+    generation — a reload with an unchanged feature mode keeps the
+    cache (tables included) warm. *)
 
 type t
 
@@ -44,6 +47,13 @@ val rank_top :
     result, so it is deliberately not part of the key.  Exceptions
     from the scoring pass are re-raised in every coalesced caller.
     Prune and arena counters land in {!stats}. *)
+
+val encoder :
+  t -> Sorl_stencil.Features.mode -> Sorl_stencil.Instance.t -> Sorl_stencil.Features.compiled
+(** The cached compiled encoder of [inst] under [mode] (compiled and
+    inserted on a miss), for callers that rank outside {!rank_top} —
+    the canary's shadow re-rank — so they reuse its score tables.
+    Counts in the encoder hit/miss {!stats}. *)
 
 type stats = {
   leaders : int;  (** rank calls that ran a scoring pass *)

@@ -691,7 +691,9 @@ let shadow_work t cn ~benchmark reply =
     let compare_top stable_tunings =
       let k = List.length stable_tunings in
       if k > 0 then begin
-        let cand = Sorl.Autotuner.top_k cn.cn_tuner inst ~k in
+        let enc = Batcher.encoder t.batcher (Sorl.Autotuner.feature_mode cn.cn_tuner) inst in
+        let dims = Kernel.dims (Instance.kernel inst) in
+        let cand = fst (Sorl.Autotuner.top_k_pruned cn.cn_tuner enc ~dims ~k) in
         let agreed =
           Array.length cand = k
           && List.for_all2 Tuning.equal (Array.to_list cand) stable_tunings

@@ -140,12 +140,8 @@ let max_tuning_entries = function
   | Extended -> 5 + continuous_count + 9
 
 (* Per-feature value functions, shared by the entry emitter below and
-   the subcube bounder: both must compute the same float from the same
-   integers, or a bound could disagree with the score it brackets.
-   Every helper is monotone in its integer argument(s) — clamp01 and
-   the log/round/clamp chains are weakly monotone, and IEEE division
-   by a fixed positive constant preserves order — which is what lets
-   the bounder evaluate them at interval endpoints. *)
+   the grid tables: both must compute the same float from the same
+   integers, or a table score could drift from the encoded one. *)
 let[@inline always] f_block_scalar b = clamp01 (lg2i b /. 10.)
 let[@inline always] f_unroll_scalar u = clamp01 (float_of_int u /. 8.)
 let[@inline always] f_chunk_scalar c = clamp01 (lg2i c /. 8.)
@@ -280,6 +276,44 @@ let encoder_entries mode inst =
     Sorl_util.Telemetry.incr encoded_counter;
     base @ tuning_entries mode inst t
 
+(* Weight-free tables of every tuning-dependent feature over one
+   tuning grid: a value per axis value, per block cube (row-major over
+   bx, by, bz) or per (cube, c) pair ([cube * nc + ic]).  Values are
+   exactly what [write_tuning_entries] emits, 0. where it skips the
+   entry; a bin table holds the feature index that fires.  The
+   Extended-only tables are empty in Canonical mode. *)
+type grid = {
+  g_bx : int array;  (** the axes spanned — the cache key *)
+  g_by : int array;
+  g_bz : int array;
+  g_u : int array;
+  g_c : int array;
+  g_xbx : float array;  (** per axis value: the canonical scalars... *)
+  g_xby : float array;
+  g_xbz : float array;
+  g_xu : float array;
+  g_xc : float array;
+  g_cov_x : float array;  (** ...cover, SIMD remainder, unroll pressure... *)
+  g_cov_y : float array;
+  g_cov_z : float array;
+  g_simd : float array;
+  g_press : float array;
+  g_bin_bx : int array;  (** ...and the bins *)
+  g_bin_by : int array;
+  g_bin_bz : int array;
+  g_bin_u : int array;
+  g_bin_c : int array;
+  g_tile : float array;  (** per cube *)
+  g_ws : float array;
+  g_halo : float array;
+  g_tiles : float array;
+  g_bin_ws : int array;
+  g_bin_reuse : int array;
+  g_bin_tiles : int array;
+  g_chunks : float array;  (** per (cube, c) *)
+  g_bin_chunks : int array;
+}
+
 (* ---- Compiled per-instance encoder (zero-allocation fast path) ---- *)
 
 (* The instance-dependent entries are materialized once into flat
@@ -297,6 +331,7 @@ type compiled = {
   c_inst_idx : int array;
   c_inst_v : float array;
   c_max_nnz : int;
+  c_grid : grid option Atomic.t;  (** ranking tables, built on first use *)
 }
 
 let compile mode inst =
@@ -312,6 +347,7 @@ let compile mode inst =
     c_inst_idx;
     c_inst_v;
     c_max_nnz = Array.length c_inst_idx + max_tuning_entries mode;
+    c_grid = Atomic.make None;
   }
 
 let compiled_mode c = c.c_mode
@@ -343,30 +379,21 @@ let encode mode inst =
     let n = encode_into c t idx v in
     Sorl_util.Sparse.of_sorted ~dim:c.c_dim (Array.sub idx 0 n) (Array.sub v 0 n)
 
-(* ---- Score lower bounds over tuning subcubes (branch & bound) ----
+(* ---- Score tables over a tuning grid (ranking and its bounds) ----
 
-   The rank model is linear, so w·φ(inst, t) decomposes into the fixed
-   instance contribution, per-axis terms depending on one tuning
-   parameter alone, and coupled terms mixing the block axes with u/c.
-   Over a subcube of the predefined grid the first two are minimized
-   exactly (the instance part is constant; each axis term is evaluated
-   at every axis value in the range), and the coupled terms are
-   bounded by interval arithmetic: every derived quantity (tile
-   volume, working set, streaming reuse, tile count) is monotone in
-   the effective block dimensions, so its range over the cube is
-   spanned by two corner evaluations, and a weight-signed choice of
-   endpoint bounds each continuous feature while the one-hot groups
-   contribute the minimum weight over the reachable bin interval.  The
-   result is a sound lower bound on the score of every candidate in
-   the cube — never depended on for tightness, only for soundness —
-   which is what lets a top-k rank skip whole subcubes whose bound
-   exceeds the current k-th best score. *)
+   The rank model is linear, so w·φ(inst, t) is the instance prefix
+   plus one product per tuning-dependent entry of
+   [write_tuning_entries], and every such value depends on one tuning
+   axis, on the block triple (a cube), or on the cube and the chunk
+   size.  [build_grid] tabulates those values once per (encoder,
+   axes) with no weights in them, so they outlive model generations;
+   a [bounder] applies one weight vector per ranking call. *)
 
-(* Derived integer quantities of one (effective) block corner — the
-   same arithmetic as the Extended branch of [write_tuning_entries]
-   (pinned together by the pruned-vs-exhaustive parity tests).  This
-   returns a tuple, so only the bounder calls it; the per-candidate
-   emitter keeps its allocation-free inline form. *)
+(* Derived integer quantities of one block triple — the same
+   arithmetic as the Extended branch of [write_tuning_entries] (pinned
+   together by the table parity tests).  This returns a tuple, so only
+   the table build calls it; the per-candidate emitter keeps its
+   allocation-free inline form. *)
 let derived_pts ctx bxr byr bzr =
   let bx = min bxr ctx.x_sx and by = min byr ctx.x_sy and bz = min bzr ctx.x_sz in
   let tile_pts = bx * by * bz in
@@ -382,22 +409,80 @@ let derived_pts ctx bxr byr bzr =
   let tiles = ceil_div ctx.x_sx bx * ceil_div ctx.x_sy by * ceil_div ctx.x_sz bz in
   (tile_pts, !ws_pts, !reuse_pts, tiles)
 
+let build_grid ctx ~bx ~by ~bz ~u ~c =
+  let ext = ctx.x_mode = Extended in
+  let ext_map f ax = if ext then Array.map f ax else [||] in
+  let nby = Array.length by and nbz = Array.length bz and nc = Array.length c in
+  let ncubes = if ext then Array.length bx * nby * nbz else 0 in
+  let g_tile = Array.make ncubes 0. and g_ws = Array.make ncubes 0. in
+  let g_halo = Array.make ncubes 0. and g_tiles = Array.make ncubes 0. in
+  let g_bin_ws = Array.make ncubes 0 and g_bin_reuse = Array.make ncubes 0 in
+  let g_bin_tiles = Array.make ncubes 0 in
+  let g_chunks = Array.make (ncubes * nc) 0. and g_bin_chunks = Array.make (ncubes * nc) 0 in
+  for cube = 0 to ncubes - 1 do
+    let tile_pts, ws_pts, reuse_pts, tiles =
+      derived_pts ctx bx.(cube / (nby * nbz)) by.(cube / nbz mod nby) bz.(cube mod nbz)
+    in
+    let ws_bytes = float_of_int ws_pts *. ctx.x_bytes in
+    let reuse_bytes = float_of_int reuse_pts *. ctx.x_bytes in
+    g_tile.(cube) <- f_tile_volume tile_pts;
+    g_ws.(cube) <- f_working_set ws_bytes;
+    g_halo.(cube) <- f_halo ws_pts tile_pts ctx.x_nbuf;
+    g_tiles.(cube) <- f_count tiles;
+    g_bin_ws.(cube) <- ws_bins_base + log2_bin ws_bytes 10 (10 + ws_bins - 1);
+    g_bin_reuse.(cube) <- reuse_bins_base + log2_bin reuse_bytes 10 (10 + reuse_bins - 1);
+    g_bin_tiles.(cube) <- tiles_bins_base + count_bin tiles;
+    Array.iteri
+      (fun ic cv ->
+        let chunks = (tiles + cv - 1) / cv in
+        g_chunks.((cube * nc) + ic) <- f_count chunks;
+        g_bin_chunks.((cube * nc) + ic) <- chunks_bins_base + count_bin chunks)
+      c
+  done;
+  let block_bin base b = base + log2_bin_i b 0 (block_bins - 1) in
+  {
+    g_bx = bx; g_by = by; g_bz = bz; g_u = u; g_c = c;
+    g_xbx = Array.map f_block_scalar bx;
+    g_xby = Array.map f_block_scalar by;
+    g_xbz = Array.map f_block_scalar bz;
+    g_xu = Array.map f_unroll_scalar u;
+    g_xc = Array.map f_chunk_scalar c;
+    g_cov_x = ext_map (fun b -> f_cover (min b ctx.x_sx) ctx.x_sx) bx;
+    g_cov_y = ext_map (fun b -> f_cover (min b ctx.x_sy) ctx.x_sy) by;
+    g_cov_z = ext_map (fun b -> f_cover (min b ctx.x_sz) ctx.x_sz) bz;
+    g_simd = ext_map (fun b -> f_simd_remainder (min b ctx.x_sx)) bx;
+    g_press = ext_map (fun v -> f_unroll_pressure (max 1 v) ctx.x_taps) u;
+    g_bin_bx = ext_map (block_bin bx_bins_base) bx;
+    g_bin_by = ext_map (block_bin by_bins_base) by;
+    g_bin_bz = ext_map (block_bin bz_bins_base) bz;
+    g_bin_u = ext_map (fun v -> unroll_bins_base + clamp_int v 0 (unroll_bins - 1)) u;
+    g_bin_c = ext_map (fun v -> chunk_bins_base + log2_bin_i v 0 (chunk_bins - 1)) c;
+    g_tile; g_ws; g_halo; g_tiles; g_bin_ws; g_bin_reuse; g_bin_tiles; g_chunks; g_bin_chunks;
+  }
+
+(* Built on first ranking use, not in [compile] (training compiles
+   every instance and never ranks), and published atomically: two
+   domains racing the first build make equal tables, and either may
+   win. *)
+let grid enc ~bx ~by ~bz ~u ~c =
+  match Atomic.get enc.c_grid with
+  | Some g when g.g_bx = bx && g.g_by = by && g.g_bz = bz && g.g_u = u && g.g_c = c -> g
+  | _ ->
+    let g = build_grid enc.c_ctx ~bx ~by ~bz ~u ~c in
+    Atomic.set enc.c_grid (Some g);
+    g
+
 type bounder = {
-  b_ctx : tctx;
+  b_g : grid;
   b_w : float array;
   b_ext : bool;
-  b_inst : float;  (** instance-block contribution — constant, exact *)
-  b_bx : int array;
-  b_by : int array;
-  b_bz : int array;
-  b_u : int array;
-  b_c : int array;
-  b_tbx : float array;  (** contribution of all features depending on bx alone *)
-  b_tby : float array;
-  b_tbz : float array;
-  b_tu : float array;
-  b_tc : float array;
+  b_inst : float;  (** instance prefix: the dot over the instance block *)
+  b_min_u : float;  (** smallest sum of the terms that depend on u alone *)
 }
+
+(* One weighted term: the product the encoder's entry adds to the dot,
+   or [-0.] — the exact additive identity — where it skips a zero. *)
+let[@inline always] wx x w j = if x <> 0. then x *. w.(j) else -0.
 
 let check_axis name a =
   if Array.length a = 0 then invalid_arg ("Features.bounder: empty axis " ^ name);
@@ -413,158 +498,103 @@ let bounder enc ~w ~bx ~by ~bz ~u ~c =
   check_axis "bz" bz;
   check_axis "u" u;
   check_axis "c" c;
-  let ctx = enc.c_ctx in
-  let ext = ctx.x_mode = Extended in
-  let inst = ref 0. in
-  Array.iteri (fun i j -> inst := !inst +. (enc.c_inst_v.(i) *. w.(j))) enc.c_inst_idx;
-  (* Per-axis contribution tables: exact score contribution of every
-     feature that depends on that single tuning parameter (scalar,
-     one-hot bin, and the per-axis continuous terms — cover and SIMD
-     remainder for the block axes, unroll pressure for u). *)
-  let tbx =
-    Array.map
-      (fun bv ->
-        let acc = ref (w.(tuning_base) *. f_block_scalar bv) in
-        if ext then begin
-          acc := !acc +. w.(bx_bins_base + log2_bin_i bv 0 (block_bins - 1));
-          let be = min bv ctx.x_sx in
-          acc := !acc +. (w.(continuous_base + 3) *. f_cover be ctx.x_sx);
-          acc := !acc +. (w.(continuous_base + 6) *. f_simd_remainder be)
-        end;
-        !acc)
-      bx
-  in
-  let tby =
-    Array.map
-      (fun bv ->
-        let acc = ref (w.(tuning_base + 1) *. f_block_scalar bv) in
-        if ext then begin
-          acc := !acc +. w.(by_bins_base + log2_bin_i bv 0 (block_bins - 1));
-          acc := !acc +. (w.(continuous_base + 4) *. f_cover (min bv ctx.x_sy) ctx.x_sy)
-        end;
-        !acc)
-      by
-  in
-  let tbz =
-    Array.map
-      (fun bv ->
-        let acc = ref (w.(tuning_base + 2) *. f_block_scalar bv) in
-        if ext then begin
-          acc := !acc +. w.(bz_bins_base + log2_bin_i bv 0 (block_bins - 1));
-          acc := !acc +. (w.(continuous_base + 5) *. f_cover (min bv ctx.x_sz) ctx.x_sz)
-        end;
-        !acc)
-      bz
-  in
-  let tu =
-    Array.map
-      (fun uv ->
-        let acc = ref (w.(tuning_base + 3) *. f_unroll_scalar uv) in
-        if ext then begin
-          acc := !acc +. w.(unroll_bins_base + clamp_int uv 0 (unroll_bins - 1));
-          acc := !acc +. (w.(continuous_base + 7) *. f_unroll_pressure (max 1 uv) ctx.x_taps)
-        end;
-        !acc)
-      u
-  in
-  let tc =
-    Array.map
-      (fun cv ->
-        let acc = ref (w.(tuning_base + 4) *. f_chunk_scalar cv) in
-        if ext then acc := !acc +. w.(chunk_bins_base + log2_bin_i cv 0 (chunk_bins - 1));
-        !acc)
-      c
-  in
+  let g = grid enc ~bx ~by ~bz ~u ~c in
+  let ext = enc.c_mode = Extended in
+  let min_u = ref infinity in
+  for iu = 0 to Array.length u - 1 do
+    let s = wx g.g_xu.(iu) w (tuning_base + 3) in
+    let s =
+      if ext then s +. wx g.g_press.(iu) w (continuous_base + 7) +. w.(g.g_bin_u.(iu)) else s
+    in
+    if s < !min_u then min_u := s
+  done;
   {
-    b_ctx = ctx;
+    b_g = g;
     b_w = w;
     b_ext = ext;
-    b_inst = !inst;
-    b_bx = bx;
-    b_by = by;
-    b_bz = bz;
-    b_u = u;
-    b_c = c;
-    b_tbx = tbx;
-    b_tby = tby;
-    b_tbz = tbz;
-    b_tu = tu;
-    b_tc = tc;
+    b_inst = Sorl_util.Sparse.dot_range enc.c_inst_idx enc.c_inst_v 0 (Array.length enc.c_inst_idx) w;
+    b_min_u = !min_u;
   }
 
-let[@inline] min_range (t : float array) lo hi =
-  let m = ref t.(lo) in
-  for i = lo + 1 to hi do
-    if t.(i) < !m then m := t.(i)
+(* A cube's score is, in real arithmetic, B(cube) + U(u) + C(cube, c):
+   the terms fixed by the block triple, those of u alone, and those
+   of c and the chunk count.  Minimizing U and C separately bounds
+   every candidate from below; the relative epsilon absorbs the
+   different summation order of the scores it brackets. *)
+let cube_bound b cube =
+  let g = b.b_g and w = b.b_w in
+  let nby = Array.length g.g_by and nbz = Array.length g.g_bz and nc = Array.length g.g_c in
+  let ibx = cube / (nby * nbz) and iby = cube / nbz mod nby and ibz = cube mod nbz in
+  let tb = tuning_base and cb = continuous_base in
+  let fixed =
+    b.b_inst +. wx g.g_xbx.(ibx) w tb +. wx g.g_xby.(iby) w (tb + 1) +. wx g.g_xbz.(ibz) w (tb + 2)
+  in
+  let fixed =
+    if not b.b_ext then fixed
+    else
+      fixed +. wx g.g_tile.(cube) w cb +. wx g.g_ws.(cube) w (cb + 1)
+      +. wx g.g_halo.(cube) w (cb + 2) +. wx g.g_cov_x.(ibx) w (cb + 3)
+      +. wx g.g_cov_y.(iby) w (cb + 4) +. wx g.g_cov_z.(ibz) w (cb + 5)
+      +. wx g.g_simd.(ibx) w (cb + 6) +. wx g.g_tiles.(cube) w (cb + 8)
+      +. w.(g.g_bin_bx.(ibx)) +. w.(g.g_bin_by.(iby)) +. w.(g.g_bin_bz.(ibz))
+      +. w.(g.g_bin_ws.(cube)) +. w.(g.g_bin_reuse.(cube)) +. w.(g.g_bin_tiles.(cube))
+  in
+  let min_c = ref infinity in
+  for ic = 0 to nc - 1 do
+    let cc = (cube * nc) + ic in
+    let s = wx g.g_xc.(ic) w (tb + 4) in
+    let s =
+      if b.b_ext then
+        s +. w.(g.g_bin_c.(ic)) +. wx g.g_chunks.(cc) w (cb + 9) +. w.(g.g_bin_chunks.(cc))
+      else s
+    in
+    if s < !min_c then min_c := s
   done;
-  !m
-
-let bound_lower b ~bx:(bxl, bxh) ~by:(byl, byh) ~bz:(bzl, bzh) ~u:(ul, uh) ~c:(cl, ch) =
-  let acc = ref (b.b_inst +. min_range b.b_tbx bxl bxh) in
-  acc := !acc +. min_range b.b_tby byl byh;
-  acc := !acc +. min_range b.b_tbz bzl bzh;
-  acc := !acc +. min_range b.b_tu ul uh;
-  acc := !acc +. min_range b.b_tc cl ch;
-  if b.b_ext then begin
-    let ctx = b.b_ctx and w = b.b_w in
-    (* The derived quantities are monotone nondecreasing (tile volume,
-       working set, streaming reuse) or nonincreasing (tile count) in
-       every effective block dimension, so the low and high corners of
-       the block subcube span their exact integer ranges. *)
-    let tile_lo, ws_lo, reuse_lo, tiles_hi =
-      derived_pts ctx b.b_bx.(bxl) b.b_by.(byl) b.b_bz.(bzl)
-    in
-    let tile_hi, ws_hi, reuse_hi, tiles_lo =
-      derived_pts ctx b.b_bx.(bxh) b.b_by.(byh) b.b_bz.(bzh)
-    in
-    let c_lo = b.b_c.(cl) and c_hi = b.b_c.(ch) in
-    let ceil_div a d = (a + d - 1) / d in
-    let chunks_lo = ceil_div tiles_lo c_hi and chunks_hi = ceil_div tiles_hi c_lo in
-    let wsb_lo = float_of_int ws_lo *. ctx.x_bytes
-    and wsb_hi = float_of_int ws_hi *. ctx.x_bytes in
-    let reuseb_lo = float_of_int reuse_lo *. ctx.x_bytes
-    and reuseb_hi = float_of_int reuse_hi *. ctx.x_bytes in
-    (* Weight-signed endpoint choice: w >= 0 wants the feature minimum,
-       w < 0 the maximum. *)
-    let add_signed j flo fhi =
-      let wj = w.(continuous_base + j) in
-      acc := !acc +. (if wj >= 0. then wj *. flo else wj *. fhi)
-    in
-    add_signed 0 (f_tile_volume tile_lo) (f_tile_volume tile_hi);
-    add_signed 1 (f_working_set wsb_lo) (f_working_set wsb_hi);
-    (* Halo (W - T(nbuf+1))/W is increasing in W, decreasing in T;
-       treating W and T as independent intervals is a conservative
-       (superset) range. *)
-    add_signed 2 (f_halo ws_lo tile_hi ctx.x_nbuf) (f_halo ws_hi tile_lo ctx.x_nbuf);
-    add_signed 8 (f_count tiles_lo) (f_count tiles_hi);
-    add_signed 9 (f_count chunks_lo) (f_count chunks_hi);
-    (* One-hot groups: exactly one bin of the group fires per
-       candidate, and the bin index is monotone in the underlying
-       quantity, so the reachable bins lie inside the endpoint bin
-       interval; the minimum weight over that (super)interval bounds
-       the group's contribution from below. *)
-    let add_bin_group base jlo jhi =
-      let m = ref w.(base + jlo) in
-      for j = jlo + 1 to jhi do
-        if w.(base + j) < !m then m := w.(base + j)
-      done;
-      acc := !acc +. !m
-    in
-    add_bin_group ws_bins_base
-      (log2_bin wsb_lo 10 (10 + ws_bins - 1))
-      (log2_bin wsb_hi 10 (10 + ws_bins - 1));
-    add_bin_group reuse_bins_base
-      (log2_bin reuseb_lo 10 (10 + reuse_bins - 1))
-      (log2_bin reuseb_hi 10 (10 + reuse_bins - 1));
-    add_bin_group tiles_bins_base (count_bin tiles_lo) (count_bin tiles_hi);
-    add_bin_group chunks_bins_base (count_bin chunks_lo) (count_bin chunks_hi)
-  end;
-  (* Absorb float non-associativity: the bound above sums in a
-     different order than the index-ordered scoring loop, so shave a
-     relative epsilon to guarantee bound <= computed score whenever
-     the analytic inequality holds. *)
-  let a = !acc in
+  let a = fixed +. b.b_min_u +. !min_c in
   a -. (1e-9 *. (1. +. Float.abs a))
+
+(* Every score adds the same products as [encode_into] + [dot_range],
+   in the same increasing feature-index order, from the same instance
+   prefix (OCaml's [+.] chains associate left), so it is bit-identical
+   to the encoded path; a skipped zero entry adds [-0.], which changes
+   nothing. *)
+let score_cube b cube out pos =
+  let g = b.b_g and w = b.b_w in
+  let nby = Array.length g.g_by and nbz = Array.length g.g_bz in
+  let nu = Array.length g.g_u and nc = Array.length g.g_c in
+  let ibx = cube / (nby * nbz) and iby = cube / nbz mod nby and ibz = cube mod nbz in
+  let tb = tuning_base and cb = continuous_base in
+  let acc =
+    b.b_inst +. wx g.g_xbx.(ibx) w tb +. wx g.g_xby.(iby) w (tb + 1) +. wx g.g_xbz.(ibz) w (tb + 2)
+  in
+  if not b.b_ext then
+    for iu = 0 to nu - 1 do
+      let su = acc +. wx g.g_xu.(iu) w (tb + 3) in
+      for ic = 0 to nc - 1 do
+        out.(pos + (iu * nc) + ic) <- su +. wx g.g_xc.(ic) w (tb + 4)
+      done
+    done
+  else begin
+    let tile = wx g.g_tile.(cube) w cb and ws = wx g.g_ws.(cube) w (cb + 1) in
+    let halo = wx g.g_halo.(cube) w (cb + 2) and cov_x = wx g.g_cov_x.(ibx) w (cb + 3) in
+    let cov_y = wx g.g_cov_y.(iby) w (cb + 4) and cov_z = wx g.g_cov_z.(ibz) w (cb + 5) in
+    let simd = wx g.g_simd.(ibx) w (cb + 6) and tiles = wx g.g_tiles.(cube) w (cb + 8) in
+    let bin_bx = w.(g.g_bin_bx.(ibx)) and bin_by = w.(g.g_bin_by.(iby)) in
+    let bin_bz = w.(g.g_bin_bz.(ibz)) and bin_ws = w.(g.g_bin_ws.(cube)) in
+    let bin_reuse = w.(g.g_bin_reuse.(cube)) and bin_tiles = w.(g.g_bin_tiles.(cube)) in
+    for iu = 0 to nu - 1 do
+      let su = acc +. wx g.g_xu.(iu) w (tb + 3) in
+      let press = wx g.g_press.(iu) w (cb + 7) and bin_u = w.(g.g_bin_u.(iu)) in
+      for ic = 0 to nc - 1 do
+        let cc = (cube * nc) + ic in
+        out.(pos + (iu * nc) + ic) <-
+          su +. wx g.g_xc.(ic) w (tb + 4) +. tile +. ws +. halo +. cov_x +. cov_y +. cov_z
+          +. simd +. press +. tiles +. wx g.g_chunks.(cc) w (cb + 9) +. bin_bx +. bin_by +. bin_bz
+          +. bin_u +. w.(g.g_bin_c.(ic)) +. bin_ws +. bin_reuse +. bin_tiles
+          +. w.(g.g_bin_chunks.(cc))
+      done
+    done
+  end
 
 let continuous_names =
   [|

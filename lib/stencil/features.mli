@@ -62,8 +62,9 @@ val encoder_entries : mode -> Instance.t -> Tuning.t -> (int * float) list
     {!Sorl_util.Sparse.of_sorted}).  Entry values are computed by the
     same functions as {!encoder_entries}, so every compiled encoding is
     bit-identical to the seed entry list it replaces.  This is the one
-    production encoder: ranking, training and the encoded-feature
-    caches all go through it. *)
+    production encoder: training, embeddings and the encoded-feature
+    caches go through it, and ranking scores from its grid tables
+    (below), which reproduce its scores bit for bit. *)
 
 type compiled
 (** Per-instance compiled encoder. *)
@@ -96,21 +97,24 @@ val encode : mode -> Instance.t -> Tuning.t -> Sorl_util.Sparse.t
     is reentrant.  Bit-identical to [Sparse.of_list] over
     {!encoder_entries}. *)
 
-(** {1 Score lower bounds over tuning subcubes}
+(** {1 Scoring the grid from tables}
 
-    Because the rank model is linear, [w·φ(inst, t)] splits into a
-    constant instance part, per-axis terms, and coupled terms whose
-    derived quantities (tile volume, working set, streaming reuse,
-    tile/chunk counts) are monotone in the effective block dimensions.
-    A {!bounder} precomputes the constant and per-axis contribution
-    tables once per (instance, weights); {!bound_lower} then bounds the
-    score of {e every} candidate in a subcube of the predefined grid
-    from below — exactly for the separable terms, by weight-signed
-    interval endpoints for the coupled ones, minus a relative epsilon
-    absorbing summation-order effects.  Soundness (bound <= each
-    candidate's computed score) is what branch-and-bound ranking relies
-    on; tightness only affects how much gets pruned, never the
-    answer. *)
+    Because the rank model is linear, [w·φ(inst, t)] is the instance
+    part plus one weighted term per tuning-dependent feature, and each
+    feature value depends on one tuning axis, on the block triple
+    [(bx, by, bz)] (a {e cube}), or on the cube and the chunk size.  A
+    compiled encoder therefore carries weight-free tables of those
+    values over a tuning grid, built by the first {!bounder} call for
+    that grid and kept for every later one (published atomically, so
+    racing first calls build equal tables and either wins).  They hold
+    no weights, so an encoder cache keeps them across model
+    generations.  A {!bounder} applies one weight vector: it scores a
+    cube's candidates in a few additions each ({!score_cube}),
+    bit-identical to {!encode_into} plus the range scorer, and bounds
+    a cube's scores from below ({!cube_bound}) for branch-and-bound
+    ranking.  Cubes are numbered row-major over (bx, by, bz) and a
+    cube's candidates row-major over (u, c): the flat order of
+    {!Tuning.predefined_set}. *)
 
 type bounder
 
@@ -123,25 +127,28 @@ val bounder :
   u:int array ->
   c:int array ->
   bounder
-(** [bounder enc ~w ~bx ~by ~bz ~u ~c] prepares bounds for the grid
-    spanned by the given strictly-ascending axis value arrays (use
-    {!Tuning.predefined_axes}) under dense weights [w] (use
-    [Model.weights]; length must equal [compiled_dim enc] — checked).
-    Raises [Invalid_argument] on dimension mismatch or a non-ascending
-    or empty axis. *)
+(** [bounder enc ~w ~bx ~by ~bz ~u ~c] is the weighted view of [enc]'s
+    tables for the grid spanned by the given strictly-ascending axis
+    value arrays (use {!Tuning.predefined_axes}) under dense weights
+    [w] (length must equal [compiled_dim enc] — checked).  [w] is
+    shared, not copied.  Raises [Invalid_argument] on dimension
+    mismatch or a non-ascending or empty axis. *)
 
-val bound_lower :
-  bounder ->
-  bx:int * int ->
-  by:int * int ->
-  bz:int * int ->
-  u:int * int ->
-  c:int * int ->
-  float
-(** [bound_lower b ~bx:(l, h) ...] takes inclusive {e axis-position}
-    ranges (indices into the axis arrays given to {!bounder}, not
-    parameter values) and returns a lower bound on the score of every
-    tuning in the subcube.  O(range widths), allocation-free. *)
+val cube_bound : bounder -> int -> float
+(** [cube_bound b cube] is a lower bound on the score of every
+    candidate in the cube: its block-fixed terms plus the smallest
+    unroll terms plus the smallest chunk terms, minus a relative
+    epsilon absorbing summation order.  Soundness is what pruning
+    relies on; tightness only changes how much gets pruned. *)
+
+val score_cube : bounder -> int -> float array -> int -> unit
+(** [score_cube b cube out pos] writes the scores of the cube's
+    [nu × nc] candidates to [out.(pos)] onward, in (u, c) row-major
+    order.  Each is bit-identical to {!encode_into} followed by
+    [Model.range_scorer]: the same products added in the same
+    increasing feature order, a skipped zero entry adding [-0.].
+    Allocation-free; concurrent calls on one bounder are safe for
+    disjoint outputs. *)
 
 val embedding : mode -> Instance.t -> float array
 (** [embedding mode inst] is a dense, L2-normalized instance vector of

@@ -693,26 +693,45 @@ let test_server_busy_backpressure () =
       (file_source dir (Lazy.force tuner_a))
   in
   (* The single uncached worker chews through a long pipelined train
-     of pruned top-1 requests from c1 — one batch, one worker.  At
-     about 1.2 ms per served request on the heaviest benchmark (2-core
-     x86 host), 3000 requests keep it busy for about 3.5 s — a 2 s
-     floor takes about 1700 — so c2's request
-     sits in the 1-slot queue and c3's must be shed with an explicit
-     busy reply.  The train goes out in one write so the reactor reads
-     it as one batch. *)
-  let train = 3000 and heavy = "gradient-256x256x256" in
-  let (fd1, ic1, _) as c1 = raw_connect server in
-  let lines = String.concat "" (List.init train (fun _ -> "sorl1 rank " ^ heavy ^ " 1\n")) in
-  let rec write_all off =
-    if off < String.length lines then
-      write_all (off + Unix.write_substring fd1 lines off (String.length lines - off))
+     of pruned top-1 requests from c1 — one batch, one worker — so
+     c2's request sits in the 1-slot queue and c3's must be shed with
+     an explicit busy reply.  The train must reach the reactor in one
+     read burst: it does not read a connection whose batch is in
+     flight, so a train larger than the socket buffer would split into
+     batches (or stall the writer), and 3000 requests (about 110 KB)
+     is the size that fits.  How long those keep the worker busy
+     depends on ranking speed, so the waits are sized from a measured
+     per-request service time instead: c3 connects after a quarter of
+     the expected busy time (at most 0.6 s). *)
+  let train = 3000 in
+  let request = "sorl1 rank gradient-256x256x256 1\n" in
+  let send fd n =
+    let lines = String.concat "" (List.init n (fun _ -> request)) in
+    let rec write_all off =
+      if off < String.length lines then
+        write_all (off + Unix.write_substring fd lines off (String.length lines - off))
+    in
+    write_all 0
   in
-  write_all 0;
-  Unix.sleepf 0.3;
+  let service_s =
+    let ((fd, ic, _) as c) = raw_connect server in
+    let n = 300 in
+    let t0 = Unix.gettimeofday () in
+    send fd n;
+    for _ = 1 to n do
+      ignore (input_line ic)
+    done;
+    raw_close c;
+    (Unix.gettimeofday () -. t0) /. float_of_int n
+  in
+  let gap = Float.min 0.3 (float_of_int train *. service_s /. 8.) in
+  let ((fd1, ic1, _) as c1) = raw_connect server in
+  send fd1 train;
+  Unix.sleepf gap;
   let (_, ic2, oc2) as c2 = raw_connect server in
   output_string oc2 "sorl1 info\n";
   flush oc2;
-  Unix.sleepf 0.3;
+  Unix.sleepf gap;
   let (_, ic3, oc3) as c3 = raw_connect server in
   output_string oc3 "sorl1 info\n";
   flush oc3;

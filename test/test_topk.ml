@@ -181,6 +181,112 @@ let test_tune_equals_full_rank_head () =
         (Sorl.Autotuner.top_k tuner inst ~k:1 = [| full.(0) |]))
     instances
 
+(* ---- score tables == encode_into + range_scorer, bit for bit ---- *)
+
+(* Scores every candidate of the grid spanned by [axes] from the
+   tables and through the compiled encoder; fails on the first score
+   whose bits differ, or that its cube's bound exceeds. *)
+let tables_match_encoder w mode inst (axes : Tuning.axes) =
+  let enc = Features.compile mode inst in
+  let w = Array.sub w 0 (Features.dim mode) in
+  let score = Model.range_scorer (Model.create w) in
+  let bd =
+    Features.bounder enc ~w ~bx:axes.Tuning.ax_bx ~by:axes.Tuning.ax_by ~bz:axes.Tuning.ax_bz
+      ~u:axes.Tuning.ax_u ~c:axes.Tuning.ax_c
+  in
+  let idx = Array.make (Features.max_nnz enc) 0 and v = Array.make (Features.max_nnz enc) 0. in
+  let nu = Array.length axes.Tuning.ax_u and nc = Array.length axes.Tuning.ax_c in
+  let out = Array.make (nu * nc) 0. in
+  let cube = ref 0 in
+  Array.iter
+    (fun bx ->
+      Array.iter
+        (fun by ->
+          Array.iter
+            (fun bz ->
+              Features.score_cube bd !cube out 0;
+              let bound = Features.cube_bound bd !cube in
+              Array.iteri
+                (fun iu u ->
+                  Array.iteri
+                    (fun ic c ->
+                      let tn = { Tuning.bx; by; bz; u; c } in
+                      let e = Features.encode_into enc tn idx v in
+                      let want = score idx v 0 e and got = out.((iu * nc) + ic) in
+                      if Int64.bits_of_float got <> Int64.bits_of_float want then
+                        QCheck2.Test.fail_reportf "%s %s %s: table %h, encoder %h" (Instance.name inst)
+                          (Features.mode_to_string mode) (Tuning.to_string tn) got want;
+                      if not (bound <= want) then
+                        QCheck2.Test.fail_reportf "%s %s cube %d: bound %h above score %h"
+                          (Instance.name inst) (Features.mode_to_string mode) !cube bound want)
+                    axes.Tuning.ax_c)
+                axes.Tuning.ax_u;
+              incr cube)
+            axes.Tuning.ax_bz)
+        axes.Tuning.ax_by)
+    axes.Tuning.ax_bx;
+  true
+
+(* All 17 benchmarks and every tenth training instance. *)
+let table_instances =
+  Benchmarks.instances @ List.filteri (fun i _ -> i mod 10 = 0) Training_shapes.instances
+
+(* Weights drawn with exact 0. and -0. mixed in: a zero weight on a
+   nonzero feature yields a signed-zero product, the case where the
+   tables' [-0.] for a skipped entry and a real product must agree. *)
+let gen_weights =
+  QCheck2.Gen.(
+    array_repeat (Features.dim Features.Extended)
+      (frequency [ (1, return 0.); (1, return (-0.)); (6, float_range (-2.) 2.) ]))
+
+let qcheck_tables_match_encoder =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:4 ~name:"table scores = encoder scores, bounds below them"
+       gen_weights (fun w ->
+         List.for_all
+           (fun inst ->
+             let axes = Tuning.predefined_axes ~dims:(Kernel.dims (Instance.kernel inst)) in
+             List.for_all
+               (fun mode -> tables_match_encoder w mode inst axes)
+               [ Features.Canonical; Features.Extended ])
+           table_instances))
+
+let test_tables_follow_axes () =
+  (* A compiled encoder keeps the tables of the last grid it ranked; a
+     bounder over other axes must rebuild them, not reuse them. *)
+  let rng = Sorl_util.Rng.create 82 in
+  let w = Array.init (Features.dim Features.Extended) (fun _ -> Sorl_util.Rng.uniform rng -. 0.5) in
+  let inst = List.hd instances in
+  let other =
+    { Tuning.ax_bx = [| 2; 24; 200 |]; ax_by = [| 5 |]; ax_bz = [| 1; 300 |]; ax_u = [| 1; 3 |];
+      ax_c = [| 2; 1000 |] }
+  in
+  checkb "predefined grid" true (tables_match_encoder w Features.Extended inst (Tuning.predefined_axes ~dims:3));
+  checkb "other grid" true (tables_match_encoder w Features.Extended inst other)
+
+let test_racing_table_build () =
+  (* The tables are built on first use and published atomically; two
+     domains ranking through one fresh encoder race that build, and
+     must still both return the seed oracle's rank. *)
+  let rng = Sorl_util.Rng.create 83 in
+  let tuner = random_tuner rng Features.Extended in
+  List.iter
+    (fun inst ->
+      let dims = Kernel.dims (Instance.kernel inst) in
+      let oracle = seed_rank tuner inst in
+      List.iter
+        (fun k ->
+          for _ = 1 to 3 do
+            let enc = Features.compile Features.Extended inst in
+            let rank () = fst (Sorl.Autotuner.top_k_pruned tuner enc ~dims ~k) in
+            let other = Domain.spawn rank in
+            let mine = rank () in
+            checkb "racing builds rank alike" true
+              (mine = Domain.join other && mine = Array.sub oracle 0 k)
+          done)
+        [ 10; Array.length oracle ])
+    instances
+
 let test_predefined_axes_consistent () =
   List.iter
     (fun dims ->
@@ -235,4 +341,7 @@ let suite =
     Alcotest.test_case "tune/best = full rank head" `Quick test_tune_equals_full_rank_head;
     Alcotest.test_case "predefined axes <-> set correspondence" `Quick
       test_predefined_axes_consistent;
+    qcheck_tables_match_encoder;
+    Alcotest.test_case "tables follow the axes" `Quick test_tables_follow_axes;
+    Alcotest.test_case "racing table builds rank alike" `Quick test_racing_table_build;
   ]
