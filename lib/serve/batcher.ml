@@ -26,8 +26,6 @@ type t = {
   mutable cands_scored : int;
 }
 
-let batched_counter = Sorl_util.Telemetry.counter "serve.batched"
-
 let create ?(encoder_cache = 32) () =
   if encoder_cache < 1 then invalid_arg "Batcher.create: encoder_cache must be >= 1";
   {
@@ -108,7 +106,6 @@ let coalesce t ~key ~compute =
     in
     let outcome = wait () in
     Mutex.unlock t.m;
-    Sorl_util.Telemetry.incr batched_counter;
     (match outcome with Ok r -> (r, true) | Error e -> raise e)
   | None ->
     t.leaders <- t.leaders + 1;

@@ -32,8 +32,8 @@
     the worker queue is full (the batch's requests are each answered
     [busy] and the connection closed).
 
-    Telemetry: [serve.pipelined] counts requests that arrived as part
-    of a multi-request batch. *)
+    [on_pipelined n] reports a batch of [n > 1] requests that arrived
+    together; the server counts them as [pipelined] in [stats]. *)
 
 type t
 

@@ -20,10 +20,6 @@ type t = {
   lock : Mutex.t;
 }
 
-let hits_counter = Sorl_util.Telemetry.counter "serve.result_cache_hits"
-let misses_counter = Sorl_util.Telemetry.counter "serve.result_cache_misses"
-let evictions_counter = Sorl_util.Telemetry.counter "serve.result_cache_evictions"
-
 let default_capacity = 1024
 
 let env_capacity () =
@@ -73,13 +69,11 @@ let find t key =
         match Hashtbl.find_opt t.tbl key with
         | None ->
           t.misses <- t.misses + 1;
-          Sorl_util.Telemetry.incr misses_counter;
           None
         | Some n ->
           unlink t n;
           push_front t n;
           t.hits <- t.hits + 1;
-          Sorl_util.Telemetry.incr hits_counter;
           Some n.value)
 
 let put t key value =
@@ -97,8 +91,7 @@ let put t key value =
             | Some lru ->
               unlink t lru;
               Hashtbl.remove t.tbl lru.key;
-              t.evictions <- t.evictions + 1;
-              Sorl_util.Telemetry.incr evictions_counter
+              t.evictions <- t.evictions + 1
             | None -> ());
           let n = { key; value; prev = None; next = None } in
           Hashtbl.replace t.tbl key n;

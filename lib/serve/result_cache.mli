@@ -16,9 +16,8 @@
     operations are O(1) under an internal mutex, so one cache is shared
     by every worker domain.
 
-    Telemetry (when enabled): [serve.result_cache_hits] and
-    [serve.result_cache_misses] counters, mirrored by the {!hits} /
-    {!misses} accessors surfaced in the [stats] protocol reply. *)
+    The {!hits} / {!misses} / {!evictions} accessors are the only
+    counters; the [stats] protocol reply surfaces them. *)
 
 type t
 
@@ -53,8 +52,7 @@ val misses : t -> int
 
 val evictions : t -> int
 (** Entries pushed out by the capacity cap so far (refreshing an
-    existing key is not an eviction).  Mirrored by the
-    [serve.result_cache_evictions] telemetry counter. *)
+    existing key is not an eviction). *)
 
 val entries_by_generation : t -> (int * int) list
 (** Resident entry count per model generation (parsed from the key

@@ -40,11 +40,6 @@ type t = {
   mutable joined : bool;
 }
 
-let requests_counter = Sorl_util.Telemetry.counter "router.requests"
-let forwarded_counter = Sorl_util.Telemetry.counter "router.forwarded"
-let errors_counter = Sorl_util.Telemetry.counter "router.errors"
-let reconnects_counter = Sorl_util.Telemetry.counter "router.reconnects"
-
 let err code message = Protocol.Error { code; message }
 
 (* ---- downstream exchanges (caller holds [s.m]) ---- *)
@@ -89,7 +84,6 @@ let exchange ?(retry = true) t s req =
   | Ok _ as ok -> ok
   | Error _ when retry ->
     Atomic.incr s.reconnects;
-    Sorl_util.Telemetry.incr reconnects_counter;
     attempt ()
   | Error _ as e -> e
 
@@ -113,7 +107,6 @@ let exchange_train t s reqs =
   | Ok _ as ok -> ok
   | Error _ ->
     Atomic.incr s.reconnects;
-    Sorl_util.Telemetry.incr reconnects_counter;
     attempt ()
 
 (* ---- routing ---- *)
@@ -155,7 +148,6 @@ let forward_run t cands reqs =
       | Ok replies ->
         ignore (Atomic.fetch_and_add s.routed n);
         ignore (Atomic.fetch_and_add t.forwarded n);
-        Sorl_util.Telemetry.add forwarded_counter n;
         List.map Protocol.encode_response replies
       | Error msg ->
         Atomic.incr s.failures;
@@ -386,7 +378,6 @@ let handle_lines t lines =
     (fun line ->
       if not !bye then begin
         Atomic.incr t.requests;
-        Sorl_util.Telemetry.incr requests_counter;
         match Protocol.parse_request line with
         | Error msg ->
           flush ();
@@ -420,10 +411,7 @@ let handle_lines t lines =
       end)
     lines;
   flush ();
-  if !errors > 0 then begin
-    ignore (Atomic.fetch_and_add t.errors !errors);
-    Sorl_util.Telemetry.add errors_counter !errors
-  end;
+  if !errors > 0 then ignore (Atomic.fetch_and_add t.errors !errors);
   (List.rev !out, !bye)
 
 let worker_loop t reactor =

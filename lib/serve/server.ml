@@ -87,23 +87,8 @@ type t = {
   mutable joined : bool;
 }
 
-let requests_counter = Sorl_util.Telemetry.counter "serve.requests"
-let errors_counter = Sorl_util.Telemetry.counter "serve.errors"
-let connections_counter = Sorl_util.Telemetry.counter "serve.connections"
-let busy_counter = Sorl_util.Telemetry.counter "serve.busy"
-let reloads_counter = Sorl_util.Telemetry.counter "serve.reloads"
-let pipelined_counter = Sorl_util.Telemetry.counter "serve.pipelined"
 let queue_depth_hist = Sorl_util.Telemetry.histogram "serve.queue_depth"
 let latency_hist = Sorl_util.Telemetry.histogram "serve.request_s"
-let neighbor_hits_counter = Sorl_util.Telemetry.counter "serve.neighbor_hits"
-let neighbor_misses_counter = Sorl_util.Telemetry.counter "serve.neighbor_misses"
-let approx_counter = Sorl_util.Telemetry.counter "serve.approx_replies"
-let observations_counter = Sorl_util.Telemetry.counter "serve.observations"
-let canary_shadowed_counter = Sorl_util.Telemetry.counter "serve.canary_shadowed"
-let canary_agree_counter = Sorl_util.Telemetry.counter "serve.canary_agree"
-let canary_disagree_counter = Sorl_util.Telemetry.counter "serve.canary_disagree"
-let canary_promotions_counter = Sorl_util.Telemetry.counter "serve.canary_promotions"
-let canary_rollbacks_counter = Sorl_util.Telemetry.counter "serve.canary_rollbacks"
 
 let load_source source ~name =
   match (source, name) with
@@ -301,7 +286,6 @@ let handle_observe t ~benchmark ~tuning ~cost =
       match Sorl_learn.Obs_log.append ol { Sorl_learn.Obs_log.benchmark; tuning; cost } with
       | () ->
         Atomic.incr t.observations;
-        Sorl_util.Telemetry.incr observations_counter;
         Protocol.Observed { total = Sorl_learn.Obs_log.written ol }
       | exception Sys_error msg -> err Protocol.Internal ("observation log: " ^ msg)))
 
@@ -467,7 +451,6 @@ let install_locked t ~tuner ~model_name =
   let generation = (Atomic.get t.current).generation + 1 in
   Atomic.set t.current { tuner; model_name; generation };
   Atomic.incr t.reloads;
-  Sorl_util.Telemetry.incr reloads_counter;
   (* Seed the new generation's entries before answering: once the
      reload reply is on the wire, hot queries are hot again.  The
      retired generation's entries are unreachable (wrong key) and
@@ -538,14 +521,12 @@ let handle_promote t =
                 let generation = install_locked t ~tuner:cn.cn_tuner ~model_name:cn.cn_name in
                 Atomic.set t.canary None;
                 Atomic.incr t.canary_promotions;
-                Sorl_util.Telemetry.incr canary_promotions_counter;
                 Protocol.Promoted { model = cn.cn_name; generation }
               end
               else begin
                 Atomic.set t.canary None;
                 Hashtbl.replace t.quarantined cn.cn_name ();
                 Atomic.incr t.canary_rollbacks;
-                Sorl_util.Telemetry.incr canary_rollbacks_counter;
                 err Protocol.Canary_rejected
                   (Printf.sprintf
                      "candidate %s held-out tau %.4f is worse than stable %.4f; rolled back and \
@@ -594,9 +575,7 @@ let approx_reply t snapshot request key =
         with
         | Some (_, winners, _) when Array.length winners >= need ->
           Atomic.incr ns.nn_hits;
-          Sorl_util.Telemetry.incr neighbor_hits_counter;
           Atomic.incr ns.approx_replies;
-          Sorl_util.Telemetry.incr approx_counter;
           let o = outcome_of_response (mk inst winners) in
           let backfill () =
             let exact = outcome_of_response (dispatch ~incumbents:winners t snapshot request) in
@@ -605,7 +584,6 @@ let approx_reply t snapshot request key =
           Some { o with backfill = Some backfill }
         | _ ->
           Atomic.incr ns.nn_misses;
-          Sorl_util.Telemetry.incr neighbor_misses_counter;
           None
       with _ -> None)
   in
@@ -660,15 +638,7 @@ let shadow_probe t request =
 
 let shadow_record t ~benchmark ~agreed =
   Atomic.incr t.canary_shadowed;
-  Sorl_util.Telemetry.incr canary_shadowed_counter;
-  if agreed then begin
-    Atomic.incr t.canary_agree;
-    Sorl_util.Telemetry.incr canary_agree_counter
-  end
-  else begin
-    Atomic.incr t.canary_disagree;
-    Sorl_util.Telemetry.incr canary_disagree_counter
-  end;
+  Atomic.incr (if agreed then t.canary_agree else t.canary_disagree);
   Mutex.protect t.canary_bm_m (fun () ->
       let a, d =
         match Hashtbl.find_opt t.canary_bm benchmark with
@@ -726,7 +696,6 @@ let reply_for t snapshot request =
 
 let handle_line t line =
   Atomic.incr t.requests;
-  Sorl_util.Telemetry.incr requests_counter;
   let outcome =
     Sorl_util.Telemetry.time_hist latency_hist (fun () ->
         match Protocol.parse_request line with
@@ -737,10 +706,7 @@ let handle_line t line =
           | outcome -> outcome
           | exception e -> outcome_of_response (err Protocol.Internal (Printexc.to_string e))))
   in
-  if outcome.error then begin
-    Atomic.incr t.errors;
-    Sorl_util.Telemetry.incr errors_counter
-  end;
+  if outcome.error then Atomic.incr t.errors;
   outcome
 
 (* ---- worker loop ---- *)
@@ -908,15 +874,10 @@ let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity 
               (Protocol.encode_response (err Protocol.Busy "server busy, retry later"))
             ~on_connection:(fun () ->
               Atomic.incr t.connections;
-              Sorl_util.Telemetry.incr connections_counter;
               Sorl_util.Telemetry.observe queue_depth_hist
                 (float_of_int (Sorl_util.Bqueue.length t.queue)))
-            ~on_shed:(fun () ->
-              Atomic.incr t.busy_rejections;
-              Sorl_util.Telemetry.incr busy_counter)
-            ~on_pipelined:(fun n ->
-              ignore (Atomic.fetch_and_add t.pipelined n);
-              Sorl_util.Telemetry.add pipelined_counter n)
+            ~on_shed:(fun () -> Atomic.incr t.busy_rejections)
+            ~on_pipelined:(fun n -> ignore (Atomic.fetch_and_add t.pipelined n))
             ()
         in
         t.reactor <- Some reactor;

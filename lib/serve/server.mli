@@ -84,17 +84,17 @@
     complete and are answered, then the domains exit and {!wait}
     returns.
 
-    Telemetry (when enabled): [serve.requests], [serve.errors],
-    [serve.connections], [serve.busy], [serve.reloads],
-    [serve.pipelined], [serve.result_cache_hits],
-    [serve.result_cache_misses], [serve.result_cache_evictions],
-    [serve.neighbor_hits], [serve.neighbor_misses],
-    [serve.approx_replies] counters, a [serve/request] span per
-    request and [serve.request_s] / [serve.queue_depth] histograms.
-    The same numbers are exported over the wire by the [stats]
-    request ([neighbor_entries], [neighbor_capacity],
+    Counters are per instance and have one source: the [stats]
+    request ([requests], [errors], [connections], [busy_rejections],
+    [reloads], [pipelined], [result_cache_*], [neighbor_*],
+    [approx_replies], [canary_*]; {!requests_served} reads the same
+    request count).
+    Telemetry (when enabled) adds only what [stats] does not carry: a
+    [serve/request] span per request and [serve.request_s] /
+    [serve.queue_depth] histograms.  Alongside the counters, [stats]
+    reports [neighbor_entries], [neighbor_capacity],
     [neighbor_evictions] and per-generation
-    [result_cache_entries_g<n>] occupancy ride along).  For a pure
+    [result_cache_entries_g<n>] occupancy.  For a pure
     [rank!]/[tune!] load,
     [approx_replies + result_cache_hits + neighbor_misses] accounts
     for every request exactly once. *)
@@ -183,6 +183,7 @@ val generation : t -> int
 (** Current model generation; 0 at start, +1 per successful reload. *)
 
 val requests_served : t -> int
+(** Requests handled so far: the [requests] key of [stats]. *)
 
 val stop : t -> unit
 (** Begin graceful shutdown (idempotent; also triggered by a protocol
